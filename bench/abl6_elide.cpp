@@ -55,7 +55,6 @@
 #include "kop/smp/executor.hpp"
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/span.hpp"
-#include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/carat_abi.hpp"
 
@@ -345,7 +344,6 @@ struct SmpRig {
     }
     module = *loaded;
     if (cpus > 1 && !loader->PrepareCpus(cpus).ok()) return false;
-    kop::trace::GlobalTracer().ring().SetShards(cpus);
     return true;
   }
 };

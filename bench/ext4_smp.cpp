@@ -11,10 +11,14 @@
 //
 // Throughput is guards per kilocycle on the virtual clock: elapsed time
 // of an SMP run is MaxCycles() (CPUs advance in parallel, the run is as
-// long as its busiest CPU), so near-linear scaling here proves the read
-// path adds no serialization — there is no lock for the contended shape
-// to queue on. Wall-clock guards/sec is reported alongside as the
-// host-thread sanity number (noisy; the virtual clock is the contract).
+// long as its busiest CPU). Near-linear scaling here shows the guard
+// path takes no lock the contended shape could queue on in the model;
+// it cannot show the host adds no serialization, because a virtual
+// clock does not see cache lines that CPUs share (shared telemetry
+// counters once made this bench flat on the wall clock while the
+// virtual curve stayed linear). Wall-clock guards/sec is reported
+// alongside as the host number (noisy; the virtual clock is the
+// reproduction contract).
 //
 // The baseline-direct rows price the SMP seam when unused: the same
 // 1-CPU workload through the plain (pre-SMP) Call path. Acceptance:
@@ -33,7 +37,6 @@
 #include "kop/signing/signer.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
-#include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 
 #include "common/experiment.hpp"
@@ -142,7 +145,6 @@ struct Rig {
     }
     module = *loaded;
     if (cpus > 1 && !loader->PrepareCpus(cpus).ok()) return false;
-    kop::trace::GlobalTracer().ring().SetShards(cpus);
     return true;
   }
 };

@@ -230,7 +230,6 @@ int main(int argc, char** argv) {
         for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
           if (!rigs[cpu].Build(engine, image)) return 1;
         }
-        kop::trace::GlobalTracer().ring().SetShards(cpus);
         kop::trace::GlobalSpans().SetEnabled(spans_on);
         kop::smp::RunOnCpus(cpus, [&](uint32_t cpu) {
           (void)rigs[cpu].Sends(sends / 4 + 1);  // warmup

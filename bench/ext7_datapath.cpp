@@ -110,7 +110,6 @@ bool MeasurePoint(uint32_t queues, uint32_t cpus, uint64_t bursts,
       }
     }
 
-    kop::trace::GlobalTracer().ring().SetShards(cpus);
     kop::trace::GlobalSpans().Reset();
 
     auto& clock = kernel.clock();

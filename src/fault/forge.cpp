@@ -17,7 +17,6 @@
 #include "kop/kir/module.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/smp/executor.hpp"
-#include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/rng.hpp"
 #include "trial_harness.hpp"
@@ -681,11 +680,6 @@ ForgeReport RunForge(const ForgeConfig& config) {
   report.dictionary = cc.dictionary;
 
   const uint32_t jobs = std::clamp<uint32_t>(config.jobs, 1, smp::kMaxCpus);
-  // Each worker is a distinct simulated CPU with its own single-writer
-  // trace-ring lane; restored below so later callers see the old layout.
-  auto& ring = trace::GlobalTracer().ring();
-  const uint32_t prior_shards = ring.shards();
-  ring.SetShards(jobs);
 
   Xoshiro256 rng(config.seed ^ 0x6b6f703a666f7267ULL);  // "kop:forg"
   kir::CoverageMap merged;
@@ -763,7 +757,6 @@ ForgeReport RunForge(const ForgeConfig& config) {
       report.rows.push_back(std::move(row));
     }
   }
-  ring.SetShards(prior_shards);
 
   report.trials = static_cast<uint32_t>(report.rows.size());
   report.covered_edges = merged.CoveredSlots();

@@ -1,5 +1,7 @@
 #include "kop/kernel/address_space.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -23,6 +25,10 @@ bool ValidMmioAccess(uint64_t addr, uint64_t size) {
 
 }  // namespace
 
+AddressSpace::Region::~Region() {
+  if (ram != nullptr) munmap(ram, info.size);
+}
+
 Status AddressSpace::MapRam(std::string name, uint64_t base, uint64_t size,
                             bool writable) {
   if (size == 0) return InvalidArgument("cannot map empty region " + name);
@@ -36,7 +42,13 @@ Status AddressSpace::MapRam(std::string name, uint64_t base, uint64_t size,
   auto region = std::make_unique<Region>();
   region->info = RegionInfo{std::move(name), base, size, RegionBacking::kRam,
                             writable};
-  region->ram.assign(size, 0);
+  void* backing = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (backing == MAP_FAILED) {
+    return OutOfMemory("cannot back RAM region " + region->info.name + " " +
+                       HexRange(base, size));
+  }
+  region->ram = static_cast<uint8_t*>(backing);
   auto pos = std::upper_bound(
       regions_.begin(), regions_.end(), base,
       [](uint64_t b, const std::unique_ptr<Region>& r) {
@@ -120,7 +132,7 @@ Status AddressSpace::Read(uint64_t addr, void* out, uint64_t size) const {
   }
   const uint64_t offset = addr - region->info.base;
   if (region->info.backing == RegionBacking::kRam) {
-    std::memcpy(out, region->ram.data() + offset, size);
+    std::memcpy(out, region->ram + offset, size);
     return OkStatus();
   }
   if (!ValidMmioAccess(addr, size)) {
@@ -145,7 +157,7 @@ Status AddressSpace::Write(uint64_t addr, const void* data, uint64_t size) {
   }
   const uint64_t offset = addr - region->info.base;
   if (region->info.backing == RegionBacking::kRam) {
-    std::memcpy(region->ram.data() + offset, data, size);
+    std::memcpy(region->ram + offset, data, size);
     return OkStatus();
   }
   if (!ValidMmioAccess(addr, size)) {
@@ -203,7 +215,7 @@ Status AddressSpace::Memset(uint64_t addr, uint8_t value, uint64_t size) {
     return PermissionDenied("memset of read-only region " +
                             region->info.name);
   }
-  std::memset(region->ram.data() + (addr - region->info.base), value, size);
+  std::memset(region->ram + (addr - region->info.base), value, size);
   return OkStatus();
 }
 
@@ -216,7 +228,7 @@ uint8_t* AddressSpace::RawHostPointer(uint64_t addr, uint64_t size) {
   if (region == nullptr || region->info.backing != RegionBacking::kRam) {
     return nullptr;
   }
-  return region->ram.data() + (addr - region->info.base);
+  return region->ram + (addr - region->info.base);
 }
 
 const uint8_t* AddressSpace::RawHostPointer(uint64_t addr,
@@ -225,7 +237,7 @@ const uint8_t* AddressSpace::RawHostPointer(uint64_t addr,
   if (region == nullptr || region->info.backing != RegionBacking::kRam) {
     return nullptr;
   }
-  return region->ram.data() + (addr - region->info.base);
+  return region->ram + (addr - region->info.base);
 }
 
 std::vector<RegionInfo> AddressSpace::Regions() const {

@@ -93,8 +93,15 @@ class AddressSpace {
  private:
   struct Region {
     RegionInfo info;
-    std::vector<uint8_t> ram;   // backing for kRam
+    // Backing for kRam: an anonymous host mapping, so pages read as zero
+    // and become resident only when first written. Mapping a large
+    // region costs nothing up front, and unmapping returns it all.
+    uint8_t* ram = nullptr;
     MmioDevice* mmio = nullptr; // handler for kMmio
+    Region() = default;
+    Region(const Region&) = delete;
+    Region& operator=(const Region&) = delete;
+    ~Region();
   };
 
   const Region* Find(uint64_t addr, uint64_t size) const;

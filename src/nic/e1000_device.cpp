@@ -1,6 +1,8 @@
 #include "kop/nic/e1000_device.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/trace.hpp"
@@ -13,7 +15,10 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 }  // namespace
 
 E1000Device::E1000Device(kernel::AddressSpace* memory, PacketSink* sink)
-    : memory_(memory), sink_(sink) {
+    : memory_(memory),
+      sink_(sink),
+      tx_occupancy_gauge_(
+          trace::GlobalMetrics().GetGauge("nic.tx_ring_occupancy")) {
   static constexpr uint8_t kDefaultMac[6] = {0x02, 0xca, 0x4a,
                                              0x70, 0x0b, 0x01};
   SetNvmMac(kDefaultMac);
@@ -53,9 +58,9 @@ void E1000Device::Reset() {
   rctl_ = 0;
   tipg_ = 0;
   mrqc_ = 0;
-  gptc_.store(0, kRelaxed);
   gprc_.store(0, kRelaxed);
-  gotc_.store(0, kRelaxed);
+  gptc_base_.store(FoldQueues(&QueueCounters::frames_transmitted), kRelaxed);
+  gotc_base_.store(FoldQueues(&QueueCounters::bytes_transmitted), kRelaxed);
   eerd_ = 0;
   for (uint32_t q = 0; q < kMaxQueues; ++q) {
     tx_[q] = TxQueue();
@@ -66,6 +71,13 @@ void E1000Device::Reset() {
     eitr_[v].store(0, kRelaxed);
     eitr_last_fire_[v].store(0, kRelaxed);
   }
+}
+
+uint64_t E1000Device::FoldQueues(
+    std::atomic<uint64_t> QueueCounters::*field) const {
+  uint64_t total = 0;
+  for (const QueueCounters& c : counters_) total += (c.*field).load(kRelaxed);
+  return total;
 }
 
 DeviceStats E1000Device::QueueStats(uint32_t queue) const {
@@ -108,6 +120,12 @@ DeviceStats E1000Device::stats() const {
 }
 
 void E1000Device::ResetStats() {
+  // Zeroing the queue counters must not move GPTC/GOTC, which only a
+  // device reset clears: lower the bases by what is about to vanish.
+  gptc_base_.fetch_sub(FoldQueues(&QueueCounters::frames_transmitted),
+                       kRelaxed);
+  gotc_base_.fetch_sub(FoldQueues(&QueueCounters::bytes_transmitted),
+                       kRelaxed);
   for (uint32_t q = 0; q < kMaxQueues; ++q) {
     counters_[q].descriptors_processed.store(0, kRelaxed);
     counters_[q].frames_transmitted.store(0, kRelaxed);
@@ -205,12 +223,17 @@ uint64_t E1000Device::MmioRead(uint64_t offset, uint32_t size) {
     case REG_RCTL: return rctl_;
     case REG_TIPG: return tipg_;
     case REG_MRQC: return mrqc_;
-    case REG_GPTC: return gptc_.load(kRelaxed);
+    case REG_GPTC:
+      return static_cast<uint32_t>(
+          FoldQueues(&QueueCounters::frames_transmitted) -
+          gptc_base_.load(kRelaxed));
     case REG_GPRC: return gprc_.load(kRelaxed);
     case REG_GOTCL:
-      return static_cast<uint32_t>(gotc_.load(kRelaxed));
-    case REG_GOTCH:
-      return static_cast<uint32_t>(gotc_.load(kRelaxed) >> 32);
+    case REG_GOTCH: {
+      const uint64_t gotc = FoldQueues(&QueueCounters::bytes_transmitted) -
+                            gotc_base_.load(kRelaxed);
+      return static_cast<uint32_t>(offset == REG_GOTCL ? gotc : gotc >> 32);
+    }
     case REG_RAL0: return ral0_;
     case REG_RAH0: return rah0_;
     default:
@@ -451,9 +474,7 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
 
   // Queue 0 keeps the legacy occupancy gauge; concurrent queues would
   // otherwise scribble over each other's sample.
-  trace::Gauge* occupancy_gauge =
-      queue == 0 ? trace::GlobalMetrics().GetGauge("nic.tx_ring_occupancy")
-                 : nullptr;
+  trace::Gauge* occupancy_gauge = queue == 0 ? tx_occupancy_gauge_ : nullptr;
   if (occupancy_gauge != nullptr) {
     occupancy_gauge->Set((txq.tdt + count - txq.tdh) % count);
   }
@@ -492,8 +513,6 @@ void E1000Device::ProcessTransmitRing(uint32_t queue) {
       c.bytes_transmitted.fetch_add(frame.size(), kRelaxed);
       KOP_TRACE(kNicXmit, frame.size(),
                 (txq.tdt + count - (txq.tdh + 1) % count) % count);
-      gptc_.fetch_add(1, kRelaxed);
-      gotc_.fetch_add(frame.size(), kRelaxed);
       frame.clear();
     }
 
@@ -522,6 +541,56 @@ void LoopbackWire::Deliver(const std::vector<uint8_t>& frame) {
   } else {
     ++dropped_;
   }
+}
+
+void CountingSink::Deliver(const std::vector<uint8_t>& frame) {
+  Lane& lane = lanes_.Mine();
+  std::lock_guard<Spinlock> guard(lane.lock);
+  if (retain_ != 0) {
+    if (lane.recent.size() != retain_) lane.recent.resize(retain_);
+    lane.recent[lane.packets % retain_].assign(frame.begin(), frame.end());
+  }
+  ++lane.packets;
+  lane.bytes += frame.size();
+}
+
+uint64_t CountingSink::packets() const {
+  uint64_t total = 0;
+  lanes_.ForEach([&total](uint32_t, const Lane& lane) {
+    std::lock_guard<Spinlock> guard(lane.lock);
+    total += lane.packets;
+  });
+  return total;
+}
+
+uint64_t CountingSink::bytes() const {
+  uint64_t total = 0;
+  lanes_.ForEach([&total](uint32_t, const Lane& lane) {
+    std::lock_guard<Spinlock> guard(lane.lock);
+    total += lane.bytes;
+  });
+  return total;
+}
+
+std::vector<std::vector<uint8_t>> CountingSink::RecentFrames() const {
+  std::vector<std::vector<uint8_t>> out;
+  lanes_.ForEach([&out, this](uint32_t, const Lane& lane) {
+    std::lock_guard<Spinlock> guard(lane.lock);
+    const uint64_t kept = std::min<uint64_t>(lane.packets, retain_);
+    for (uint64_t i = lane.packets - kept; i < lane.packets; ++i) {
+      out.push_back(lane.recent[i % retain_]);
+    }
+  });
+  return out;
+}
+
+void CountingSink::Reset() {
+  lanes_.ForEach([](uint32_t, Lane& lane) {
+    std::lock_guard<Spinlock> guard(lane.lock);
+    lane.packets = 0;
+    lane.bytes = 0;
+    lane.recent.clear();
+  });
 }
 
 }  // namespace kop::nic

@@ -25,6 +25,10 @@
 #include "kop/sim/clock.hpp"
 #include "kop/util/status.hpp"
 
+namespace kop::trace {
+class Gauge;
+}  // namespace kop::trace
+
 namespace kop::nic {
 
 struct DeviceStats {
@@ -158,6 +162,8 @@ class E1000Device final : public kernel::MmioDevice {
   };
 
   void Reset();
+  /// `field` summed over every queue's counters.
+  uint64_t FoldQueues(std::atomic<uint64_t> QueueCounters::*field) const;
   uint32_t TxRingCount(const TxQueue& q) const { return q.tdlen / kTxDescBytes; }
   uint32_t RxRingCount(const RxQueue& q) const { return q.rdlen / kRxDescBytes; }
 
@@ -190,9 +196,14 @@ class E1000Device final : public kernel::MmioDevice {
   uint32_t mrqc_ = 0;
   uint32_t ral0_ = 0;
   uint32_t rah0_ = 0;
-  std::atomic<uint32_t> gptc_{0};
   std::atomic<uint32_t> gprc_{0};
-  std::atomic<uint64_t> gotc_{0};
+  // GPTC/GOTC are the per-queue TX counters folded when the register is
+  // read, less these bases, which a device reset moves to the current
+  // fold. The TX path thus writes only its own queue's counters.
+  std::atomic<uint64_t> gptc_base_{0};
+  std::atomic<uint64_t> gotc_base_{0};
+  // Queue 0's occupancy gauge, looked up once.
+  trace::Gauge* tx_occupancy_gauge_;
   uint32_t eerd_ = 0;
   uint16_t nvm_[kNvmWords] = {};
 

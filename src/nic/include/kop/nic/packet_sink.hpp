@@ -8,10 +8,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
-#include "kop/util/ring_buffer.hpp"
+#include "kop/smp/percpu.hpp"
+#include "kop/util/spinlock.hpp"
 
 namespace kop::nic {
 
@@ -49,43 +49,37 @@ class LoopbackWire : public PacketSink {
   std::atomic<uint64_t> dropped_{0};
 };
 
+/// Counts delivered frames and bytes and keeps the most recent frames.
+/// Each CPU delivers into its own lane (counts plus its last `retain`
+/// frames) and the totals fold on read, so concurrent queue sweeps never
+/// share a cache line here.
 class CountingSink : public PacketSink {
  public:
-  /// Retains the last `retain` frames for test inspection.
-  explicit CountingSink(size_t retain = 16) : recent_(retain) {}
+  /// Retains the last `retain` frames per delivering CPU.
+  explicit CountingSink(size_t retain = 16) : retain_(retain) {}
 
-  void Deliver(const std::vector<uint8_t>& frame) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++packets_;
-    bytes_ += frame.size();
-    recent_.push(frame);
-  }
+  void Deliver(const std::vector<uint8_t>& frame) override;
 
-  uint64_t packets() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return packets_;
-  }
-  uint64_t bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_;
-  }
-  std::vector<std::vector<uint8_t>> RecentFrames() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return recent_.snapshot();
-  }
+  uint64_t packets() const;
+  uint64_t bytes() const;
+  /// Retained frames, oldest first, lane by lane in CPU order. A
+  /// single-CPU run gets its newest `retain` frames in delivery order.
+  std::vector<std::vector<uint8_t>> RecentFrames() const;
 
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    packets_ = 0;
-    bytes_ = 0;
-    recent_.clear();
-  }
+  void Reset();
 
  private:
-  mutable std::mutex mu_;
-  uint64_t packets_ = 0;
-  uint64_t bytes_ = 0;
-  RingBuffer<std::vector<uint8_t>> recent_;
+  struct Lane {
+    mutable Spinlock lock;
+    uint64_t packets = 0;
+    uint64_t bytes = 0;
+    // Frame i of this lane lives in recent[i % retain_]; slots are
+    // reassigned in place so steady-state delivery does not allocate.
+    std::vector<std::vector<uint8_t>> recent;
+  };
+
+  size_t retain_;
+  smp::PerCpu<Lane> lanes_;
 };
 
 }  // namespace kop::nic

@@ -167,16 +167,6 @@ void PolicyEngine::GrowSiteTable(SiteShard& shard, uint64_t site) {
   shard.storage = std::move(grown);
 }
 
-namespace {
-/// Single-writer counter bump: plain load+store compiles to a plain
-/// increment (no lock prefix); the atomic type only keeps concurrent
-/// readers (folds) race-free.
-inline void BumpRelaxed(std::atomic<uint64_t>& counter, uint64_t n = 1) {
-  counter.store(counter.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
-}
-}  // namespace
-
 void PolicyEngine::NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
                               uint64_t elided) {
   SiteTable* table = shard.table.load(std::memory_order_acquire);
@@ -186,9 +176,9 @@ void PolicyEngine::NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
   }
   SiteRow& row = table->rows[static_cast<size_t>(site)];
   row.site.store(site, std::memory_order_relaxed);
-  BumpRelaxed(row.hits);
-  if (elided != 0) BumpRelaxed(row.elided, elided);
-  if (!allowed) BumpRelaxed(row.denied);
+  smp::BumpOwned(row.hits);
+  if (elided != 0) smp::BumpOwned(row.elided, elided);
+  if (!allowed) smp::BumpOwned(row.denied);
 }
 
 void PolicyEngine::NoteSite(uint64_t site, bool allowed, uint64_t elided) {
@@ -517,8 +507,8 @@ bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
     deopt_counter_->Add();
     return false;  // slow path re-decides with full violation semantics
   }
-  BumpRelaxed(pin.stats->guard_calls);
-  BumpRelaxed(pin.stats->allowed);
+  smp::BumpOwned(pin.stats->guard_calls);
+  smp::BumpOwned(pin.stats->allowed);
   NoteSiteIn(*pin.sites, site, true, 0);
   if (charge_cycles_.load(std::memory_order_relaxed)) {
     pin.clock_cell->store(
@@ -564,11 +554,11 @@ bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
     deopt_counter_->Add();
     return false;
   }
-  BumpRelaxed(pin.stats->guard_calls);
-  BumpRelaxed(pin.stats->allowed);
+  smp::BumpOwned(pin.stats->guard_calls);
+  smp::BumpOwned(pin.stats->allowed);
   NoteSiteIn(*pin.sites, site, true, elided);
   if (elided != 0) {
-    BumpRelaxed(pin.stats->elided, elided);
+    smp::BumpOwned(pin.stats->elided, elided);
     pin.elided_batch += elided;
   }
   if (charge_cycles_.load(std::memory_order_relaxed)) {
@@ -612,7 +602,7 @@ bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
     deopt_counter_->Add();
     return false;  // slow path re-decides with full violation semantics
   }
-  BumpRelaxed(pin.stats->cfi_checks);
+  smp::BumpOwned(pin.stats->cfi_checks);
   NoteSiteIn(*pin.sites, site, true, 0);
   if (charge_cycles_.load(std::memory_order_relaxed)) {
     pin.clock_cell->store(

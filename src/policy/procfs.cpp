@@ -53,12 +53,13 @@ std::string ProcGuardStats(const PolicyEngine& engine) {
                   static_cast<unsigned long long>(hist->count()),
                   hist->mean());
     out += line;
-    for (size_t i = 0; i < trace::Log2Histogram::kBuckets; ++i) {
-      if (hist->bucket(i) == 0) continue;
+    const trace::HistogramBuckets buckets = hist->Buckets();
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      if (buckets[i] == 0) continue;
       std::snprintf(line, sizeof(line), "  [%11.4g, %11.4g) %llu\n",
                     trace::Log2Histogram::BucketLo(i),
                     trace::Log2Histogram::BucketLo(i + 1),
-                    static_cast<unsigned long long>(hist->bucket(i)));
+                    static_cast<unsigned long long>(buckets[i]));
       out += line;
     }
   }

@@ -7,11 +7,21 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 
 #include "kop/smp/cpu.hpp"
 
 namespace kop::smp {
+
+/// Add to a counter that only its owning CPU writes: a relaxed load and
+/// store instead of a locked read-modify-write. Readers on other CPUs
+/// get a whole value, at worst one update old. Two writers on one cell
+/// would lose updates, so use this only inside a single-writer slot.
+inline void BumpOwned(std::atomic<uint64_t>& cell, uint64_t n = 1) {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
 
 template <typename T>
 class PerCpu {

@@ -1,7 +1,9 @@
 // The metrics registry: named counters, gauges (with high-watermark),
 // and log2-bucket histograms that subsystems register into by name —
 // guard latency, policy lookup depth, printk-ring occupancy, TX-ring
-// occupancy. Get-or-create semantics: the first caller of a name mints
+// occupancy. Counters and histograms keep one cell per CPU and fold on
+// read, so recording never writes a cache line another CPU writes.
+// Get-or-create semantics: the first caller of a name mints
 // the metric, later callers share it, so subsystems need no coordination
 // and a torn-down kernel's successor keeps accumulating into the same
 // process-wide series (exactly how /proc counters behave across
@@ -16,22 +18,28 @@
 #include <string>
 #include <vector>
 
+#include "kop/smp/percpu.hpp"
 #include "kop/util/spinlock.hpp"
 
 namespace kop::trace {
 
+/// A monotonically increasing count. Each CPU adds into its own
+/// cache-line-padded cell; value() folds the cells, so it is exact.
 class Counter {
  public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  void Add(uint64_t n = 1) {
+    cells_.Mine().fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t value() const;
+  void Reset();
 
  private:
-  std::atomic<uint64_t> value_{0};
+  smp::PerCpu<std::atomic<uint64_t>> cells_;
 };
 
 /// A sampled level (ring occupancy, table size). Tracks the most recent
-/// value and the high watermark since reset.
+/// value and the high watermark since reset. "Most recent" has no per-CPU
+/// fold, so a gauge is one shared cell: sample it from one place.
 class Gauge {
  public:
   void Set(int64_t v) {
@@ -53,31 +61,53 @@ class Gauge {
   std::atomic<int64_t> max_{0};
 };
 
-/// Power-of-two bucket histogram: bucket 0 holds values < 1, bucket k
-/// holds [2^(k-1), 2^k). 64 buckets cover the full uint64 range, so a
+/// Power-of-two buckets: bucket 0 holds values < 1, bucket k holds
+/// [2^(k-1), 2^k). 64 buckets cover the full uint64 range, so a
 /// cycle-latency histogram never saturates.
-class Log2Histogram {
- public:
-  static constexpr size_t kBuckets = 64;
+inline constexpr size_t kHistogramBuckets = 64;
+using HistogramBuckets = std::array<uint64_t, kHistogramBuckets>;
 
+/// One writer's log2 histogram: bucket counts plus their sum. Only the
+/// owning CPU may Observe — each update is a relaxed load and store, not
+/// a locked read-modify-write — while any thread may read. Per-CPU
+/// structures embed one per CPU and fold them on read.
+class HistogramCell {
+ public:
   void Observe(double value);
 
-  /// Every observation lands in exactly one bucket, so the count is the
-  /// bucket sum — read-side work that keeps Observe down to one counter
-  /// bump plus the sum accumulation.
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
-    return n;
+  uint64_t bucket(size_t i) const {
+    return buckets_[i].load(std::memory_order_relaxed);
   }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
+  /// Every observation lands in exactly one bucket, so the count is the
+  /// bucket sum.
+  uint64_t count() const;
+  /// Add this cell's buckets into `out`.
+  void FoldInto(HistogramBuckets& out) const;
+  void Reset();
+
+ private:
+  std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+};
+
+/// A log2 histogram any CPU may observe into: one HistogramCell per CPU,
+/// folded exactly on read.
+class Log2Histogram {
+ public:
+  static constexpr size_t kBuckets = kHistogramBuckets;
+
+  void Observe(double value) { cells_.Mine().Observe(value); }
+
+  uint64_t count() const;
+  double sum() const;
   double mean() const {
     const uint64_t n = count();
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
   }
-  uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  uint64_t bucket(size_t i) const;
+  /// All buckets folded across CPUs.
+  HistogramBuckets Buckets() const;
   /// Lower edge of bucket i (0 for bucket 0, else 2^(i-1)).
   static double BucketLo(size_t i);
 
@@ -88,17 +118,15 @@ class Log2Histogram {
   /// estimate is lo + k/c·(hi-lo). Returns 0 on an empty histogram.
   double Percentile(double p) const;
 
-  /// The same interpolation over an externally folded bucket array —
-  /// used to fold per-CPU histograms exactly on read before querying.
-  static double PercentileFromBuckets(
-      const std::array<uint64_t, kBuckets>& buckets, double p);
+  /// The same interpolation over an externally folded bucket array.
+  static double PercentileFromBuckets(const HistogramBuckets& buckets,
+                                      double p);
 
   size_t NonZeroBuckets() const;
   void Reset();
 
  private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<double> sum_{0.0};
+  smp::PerCpu<HistogramCell> cells_;
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };

@@ -46,7 +46,8 @@ std::string_view SpanKindName(SpanKind kind);
 
 /// One completed span. `begin_tsc`/`end_tsc` are virtual cycles on the
 /// recording CPU's clock; `depth` is the span-nesting depth at begin
-/// (module call = 0); `seq` is the global completion ordinal.
+/// (module call = 0); `seq` is the recording CPU's completion ordinal
+/// tagged with the CPU, like TraceRecord::seq (see MakeSeq).
 struct SpanEvent {
   uint64_t begin_tsc = 0;
   uint64_t end_tsc = 0;
@@ -73,7 +74,8 @@ struct SpanStats {
 /// Per-CPU span rings plus per-CPU per-kind duration histograms. The
 /// write path touches only the recording CPU's cache-line-padded slot
 /// (one spinlock that is never contended when CPUs stay on their own
-/// ring); all cross-CPU folding happens on the read side.
+/// ring), including the seq, which comes from that slot's own count;
+/// all cross-CPU folding happens on the read side.
 class SpanRecorder {
  public:
   /// `per_cpu_capacity` rounded up to a power of two (min 64).
@@ -107,9 +109,8 @@ class SpanRecorder {
   /// Lifetime spans recorded on `cpu` for `kind` (0 = all kinds).
   uint64_t CpuCount(uint32_t cpu, SpanKind kind) const;
 
-  uint64_t total_recorded() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  /// Spans recorded on every CPU, folded.
+  uint64_t total_recorded() const;
 
   /// Human-readable per-kind latency table.
   std::string RenderText() const;
@@ -126,7 +127,7 @@ class SpanRecorder {
     std::vector<SpanEvent> slots;
     uint64_t count = 0;  // spans recorded on this CPU, ever
     uint16_t depth = 0;  // currently open spans (write path only)
-    std::array<Log2Histogram, kSpanKindCount> hist;
+    std::array<HistogramCell, kSpanKindCount> hist;
   };
 
   Cpu& Mine();
@@ -134,7 +135,6 @@ class SpanRecorder {
   size_t per_cpu_capacity_;
   uint64_t mask_;
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{0};
   std::array<std::unique_ptr<Cpu>, smp::kMaxCpus> cpus_;
 };
 

@@ -1,7 +1,8 @@
 // kop::trace — the ftrace analogue for the simulated kernel. Static
 // tracepoints (`KOP_TRACE(event, args...)`) record fixed-size records
-// (virtual-cycle timestamp, event id, up to four integer args) into a
-// lock-free fixed ring. Tracepoints compile out entirely when the build
+// (virtual-cycle timestamp, event id, up to four integer args) into the
+// recording CPU's lane of a fixed-budget ring; nothing on the record path
+// is shared between CPUs. Tracepoints compile out entirely when the build
 // sets KOP_TRACE_ENABLED=0, so the hot seams (guards, descriptor
 // fetches, ioctls) carry zero code when observability is off. All
 // timestamps come from the virtual clock — instrumentation never charges
@@ -11,7 +12,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -64,9 +64,25 @@ std::string_view EventCategory(EventId id);
 /// Display names of the four args (nullptr-terminated early when fewer).
 std::array<const char*, 4> EventArgNames(EventId id);
 
-/// One tracepoint firing. Fixed size; `seq` is the global firing ordinal
-/// (monotonic even after the ring wraps); `cpu` is the simulated CPU the
-/// tracepoint fired on (thread id in Chrome-trace exports).
+/// `seq` packs the recording CPU into its top bits above that CPU's own
+/// firing ordinal, so it is unique across CPUs and increases within each
+/// CPU (monotonic even after the lane wraps) without a shared counter.
+/// CPU 0's seq is just its ordinal, so a single-CPU run numbers records
+/// 0, 1, 2, ... exactly as a global counter would.
+inline constexpr unsigned kSeqCpuShift = 48;
+inline constexpr uint64_t MakeSeq(uint32_t cpu, uint64_t ordinal) {
+  return (uint64_t{cpu} << kSeqCpuShift) | ordinal;
+}
+inline constexpr uint32_t SeqCpu(uint64_t seq) {
+  return static_cast<uint32_t>(seq >> kSeqCpuShift);
+}
+inline constexpr uint64_t SeqOrdinal(uint64_t seq) {
+  return seq & ((uint64_t{1} << kSeqCpuShift) - 1);
+}
+
+/// One tracepoint firing. Fixed size; `seq` is the per-CPU firing
+/// ordinal tagged with the CPU (see MakeSeq); `cpu` is the simulated CPU
+/// the tracepoint fired on (thread id in Chrome-trace exports).
 struct TraceRecord {
   uint64_t tsc = 0;   // virtual cycles at firing time
   uint64_t seq = 0;
@@ -76,60 +92,61 @@ struct TraceRecord {
   uint64_t args[4] = {0, 0, 0, 0};
 };
 
-/// Sharded fixed ring of TraceRecords, ftrace's per-cpu ring buffers.
-/// Each shard holds `capacity` slots behind its own spinlock; a writer
-/// takes one global fetch_add for its seq, then appends to the shard for
-/// its simulated CPU — shards never contend when CPUs stay on their own.
-/// The newest `capacity` records per shard survive, oldest are
-/// overwritten (ftrace overwrite mode). The default single shard makes
-/// single-threaded runs record the exact slot/seq sequence the unsharded
-/// ring did.
+/// Fixed-budget ring of TraceRecords with one lane per recording CPU,
+/// ftrace's per-cpu ring buffers. A CPU's lane is allocated on its first
+/// record; appends, per-event counts and seq numbering touch only that
+/// lane (its spinlock is never contended while CPUs stay on their own
+/// lane), and every total is folded across lanes on read.
+///
+/// `capacity` is the record budget of the whole ring. Lanes share it:
+/// each lane may hold at most capacity / lanes (rounded down to a power
+/// of two), so a lone CPU keeps the newest `capacity` records exactly as
+/// a single ring would, and N CPUs together never hold more. Lanes start
+/// small and double until they reach that share; a new lane lowers the
+/// share and trims larger lanes to their newest records. Once a lane is
+/// full it overwrites its oldest records (ftrace overwrite mode).
 class TraceRing {
  public:
-  /// `capacity` (per shard) is rounded up to a power of two (min 64).
+  /// `capacity` is rounded up to a power of two (min 64).
   explicit TraceRing(size_t capacity = 1 << 14);
+  ~TraceRing();
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Reshape to `shards` shards (clamped to [1, smp::kMaxCpus]) and
-  /// clear. NOT safe against concurrent Append — call at topology-setup
-  /// time, before workers start.
-  void SetShards(uint32_t shards);
-  uint32_t shards() const { return static_cast<uint32_t>(shards_.size()); }
-
   void Append(TraceRecord record);
 
-  /// Total retained slots across shards.
-  size_t capacity() const { return per_shard_capacity_ * shards_.size(); }
+  /// The record budget shared by all lanes.
+  size_t capacity() const { return capacity_; }
   /// Total records ever appended (including overwritten ones).
-  uint64_t total_appended() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  uint64_t total_appended() const;
   uint64_t dropped() const;
+  /// Lifetime appends of `id`, folded across lanes.
+  uint64_t event_count(EventId id) const;
 
-  /// Retained records merged across shards into one stream ordered by
+  /// Retained records merged across lanes into one stream ordered by
   /// virtual-clock timestamp (seq breaks ties), so an SMP run exports a
-  /// monotonic timeline instead of shard-concatenation order. Per-CPU
-  /// virtual clocks are monotone, so within a shard this degenerates to
-  /// the append (seq) order the single-CPU ring always had.
+  /// monotonic timeline instead of lane-concatenation order. Per-CPU
+  /// virtual clocks are monotone, so within a lane this degenerates to
+  /// append (seq) order.
   std::vector<TraceRecord> Snapshot() const;
 
-  /// Not safe against concurrent Append; fine for the simulator.
+  /// Drop every lane (the next record on each CPU allocates a fresh
+  /// one). NOT safe against concurrent Append.
   void Clear();
 
  private:
-  struct alignas(64) Shard {
-    mutable Spinlock lock;
-    std::vector<TraceRecord> slots;
-    uint64_t count = 0;  // appends into this shard, ever
-  };
+  struct Lane;
 
-  Shard& MyShard();
+  Lane& MyLane(uint32_t cpu);
+  Lane& AddLane(uint32_t cpu);
+  /// fn(lane) for every allocated lane, under that lane's lock.
+  template <typename Fn>
+  void ForEachLane(Fn&& fn) const;
 
-  size_t per_shard_capacity_;
-  uint64_t mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> next_{0};
+  size_t capacity_;
+  std::array<std::atomic<Lane*>, smp::kMaxCpus> lanes_{};
+  Spinlock add_lock_;  // serializes lane creation and re-sharing
+  uint32_t lane_count_ = 0;  // guarded by add_lock_
 };
 
 /// The process-wide tracer: the ring, an enable switch, per-event
@@ -161,9 +178,7 @@ class Tracer {
   const TraceRing& ring() const { return ring_; }
 
   /// Lifetime firings per event id (index by EventId value).
-  uint64_t event_count(EventId id) const {
-    return counts_[static_cast<size_t>(id)].load(std::memory_order_relaxed);
-  }
+  uint64_t event_count(EventId id) const { return ring_.event_count(id); }
 
   /// Clear the ring and per-event counters (clock and enable kept).
   void Reset();
@@ -172,7 +187,6 @@ class Tracer {
   std::atomic<bool> enabled_{true};
   std::atomic<const sim::VirtualClock*> clock_{nullptr};
   TraceRing ring_;
-  std::array<std::atomic<uint64_t>, kEventCount> counts_{};
 };
 
 /// The tracer every KOP_TRACE site records into.

@@ -8,21 +8,78 @@
 
 namespace kop::trace {
 
-void Log2Histogram::Observe(double value) {
+uint64_t Counter::value() const {
+  uint64_t total = 0;
+  cells_.ForEach([&total](uint32_t, const std::atomic<uint64_t>& cell) {
+    total += cell.load(std::memory_order_relaxed);
+  });
+  return total;
+}
+
+void Counter::Reset() {
+  cells_.ForEach([](uint32_t, std::atomic<uint64_t>& cell) {
+    cell.store(0, std::memory_order_relaxed);
+  });
+}
+
+void HistogramCell::Observe(double value) {
   // Bucket edges are powers of two, so for v in [1, 2^62) the bucket is
   // bit_width(floor(v)) — no libm on the guard hot path. Anything at or
   // above 2^62 lands in the clamp bucket either way.
   size_t bucket = 0;
   if (value >= 1.0) {
     bucket = value >= 0x1p62
-                 ? kBuckets - 1
+                 ? kHistogramBuckets - 1
                  : static_cast<size_t>(
                        std::bit_width(static_cast<uint64_t>(value)));
   }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  // fetch_add on atomic<double> is C++20; relaxed is fine, the sum is a
-  // statistic, not a synchronization point.
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  smp::BumpOwned(buckets_[bucket]);
+  sum_.store(sum_.load(std::memory_order_relaxed) + value,
+             std::memory_order_relaxed);
+}
+
+uint64_t HistogramCell::count() const {
+  uint64_t n = 0;
+  for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
+  return n;
+}
+
+void HistogramCell::FoldInto(HistogramBuckets& out) const {
+  for (size_t i = 0; i < kHistogramBuckets; ++i) out[i] += bucket(i);
+}
+
+void HistogramCell::Reset() {
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+}
+
+HistogramBuckets Log2Histogram::Buckets() const {
+  HistogramBuckets folded{};
+  cells_.ForEach([&folded](uint32_t, const HistogramCell& cell) {
+    cell.FoldInto(folded);
+  });
+  return folded;
+}
+
+uint64_t Log2Histogram::count() const {
+  uint64_t n = 0;
+  cells_.ForEach(
+      [&n](uint32_t, const HistogramCell& cell) { n += cell.count(); });
+  return n;
+}
+
+double Log2Histogram::sum() const {
+  double total = 0.0;
+  cells_.ForEach(
+      [&total](uint32_t, const HistogramCell& cell) { total += cell.sum(); });
+  return total;
+}
+
+uint64_t Log2Histogram::bucket(size_t i) const {
+  uint64_t n = 0;
+  cells_.ForEach(
+      [&n, i](uint32_t, const HistogramCell& cell) { n += cell.bucket(i); });
+  return n;
 }
 
 double Log2Histogram::BucketLo(size_t i) {
@@ -30,13 +87,11 @@ double Log2Histogram::BucketLo(size_t i) {
 }
 
 double Log2Histogram::Percentile(double p) const {
-  std::array<uint64_t, kBuckets> snapshot;
-  for (size_t i = 0; i < kBuckets; ++i) snapshot[i] = bucket(i);
-  return PercentileFromBuckets(snapshot, p);
+  return PercentileFromBuckets(Buckets(), p);
 }
 
-double Log2Histogram::PercentileFromBuckets(
-    const std::array<uint64_t, kBuckets>& buckets, double p) {
+double Log2Histogram::PercentileFromBuckets(const HistogramBuckets& buckets,
+                                            double p) {
   uint64_t n = 0;
   for (uint64_t b : buckets) n += b;
   if (n == 0) return 0.0;
@@ -63,23 +118,21 @@ double Log2Histogram::PercentileFromBuckets(
 }
 
 size_t Log2Histogram::NonZeroBuckets() const {
-  size_t n = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    if (bucket(i) != 0) ++n;
-  }
-  return n;
+  const HistogramBuckets buckets = Buckets();
+  return static_cast<size_t>(
+      std::count_if(buckets.begin(), buckets.end(),
+                    [](uint64_t b) { return b != 0; }));
 }
 
 void Log2Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
+  cells_.ForEach([](uint32_t, HistogramCell& cell) { cell.Reset(); });
 }
 
 namespace {
 
 /// Percentile over a MetricSample's (trimmed) bucket vector.
 double SamplePercentile(const MetricSample& sample, double p) {
-  std::array<uint64_t, Log2Histogram::kBuckets> buckets{};
+  HistogramBuckets buckets{};
   for (size_t i = 0; i < sample.buckets.size() && i < buckets.size(); ++i) {
     buckets[i] = sample.buckets[i];
   }
@@ -144,16 +197,14 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
     MetricSample sample;
     sample.name = name;
     sample.kind = MetricKind::kHistogram;
-    sample.count = histogram->count();
+    const HistogramBuckets buckets = histogram->Buckets();
+    for (uint64_t b : buckets) sample.count += b;
     sample.sum = histogram->sum();
     size_t last = 0;
-    for (size_t i = 0; i < Log2Histogram::kBuckets; ++i) {
-      if (histogram->bucket(i) != 0) last = i + 1;
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      if (buckets[i] != 0) last = i + 1;
     }
-    sample.buckets.reserve(last);
-    for (size_t i = 0; i < last; ++i) {
-      sample.buckets.push_back(histogram->bucket(i));
-    }
+    sample.buckets.assign(buckets.begin(), buckets.begin() + last);
     out.push_back(std::move(sample));
   }
   std::sort(out.begin(), out.end(),

@@ -63,12 +63,12 @@ void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
   SpanEvent event;
   event.begin_tsc = begin_tsc;
   event.end_tsc = NowTsc();
-  event.seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
   event.arg = arg;
   event.kind = kind;
   event.cpu = static_cast<uint16_t>(smp::CurrentCpu());
   Cpu& cpu = Mine();
   std::lock_guard<Spinlock> guard(cpu.lock);
+  event.seq = MakeSeq(event.cpu, cpu.count);
   if (cpu.depth > 0) --cpu.depth;
   event.depth = cpu.depth;
   cpu.slots[cpu.count & mask_] = event;
@@ -107,15 +107,12 @@ std::vector<SpanEvent> SpanRecorder::Tail(uint32_t cpu_index, size_t n) const {
 }
 
 SpanStats SpanRecorder::Stats(SpanKind kind) const {
-  std::array<uint64_t, Log2Histogram::kBuckets> folded{};
+  HistogramBuckets folded{};
   SpanStats stats;
   const size_t k = Index(kind);
   for (const auto& cpu : cpus_) {
-    const Log2Histogram& hist = cpu->hist[k];
-    for (size_t i = 0; i < Log2Histogram::kBuckets; ++i) {
-      folded[i] += hist.bucket(i);
-    }
-    stats.sum += hist.sum();
+    cpu->hist[k].FoldInto(folded);
+    stats.sum += cpu->hist[k].sum();
   }
   for (uint64_t b : folded) stats.count += b;
   stats.p50 = Log2Histogram::PercentileFromBuckets(folded, 50.0);
@@ -123,6 +120,15 @@ SpanStats SpanRecorder::Stats(SpanKind kind) const {
   stats.p99 = Log2Histogram::PercentileFromBuckets(folded, 99.0);
   stats.p999 = Log2Histogram::PercentileFromBuckets(folded, 99.9);
   return stats;
+}
+
+uint64_t SpanRecorder::total_recorded() const {
+  uint64_t total = 0;
+  for (const auto& cpu : cpus_) {
+    std::lock_guard<Spinlock> guard(cpu->lock);
+    total += cpu->count;
+  }
+  return total;
 }
 
 uint64_t SpanRecorder::CpuCount(uint32_t cpu_index, SpanKind kind) const {
@@ -174,7 +180,6 @@ std::string SpanRecorder::RenderPrometheus() const {
 }
 
 void SpanRecorder::Reset() {
-  next_seq_.store(0, std::memory_order_release);
   for (const auto& cpu : cpus_) {
     std::lock_guard<Spinlock> guard(cpu->lock);
     cpu->count = 0;

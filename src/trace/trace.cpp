@@ -1,6 +1,7 @@
 #include "kop/trace/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <mutex>
 
 namespace kop::trace {
@@ -57,57 +58,118 @@ std::array<const char*, 4> EventArgNames(EventId id) {
   return kEvents[Index(id)].args;
 }
 
-TraceRing::TraceRing(size_t capacity)
-    : per_shard_capacity_(RoundUpPow2(capacity)),
-      mask_(per_shard_capacity_ - 1) {
-  SetShards(1);
-}
+struct alignas(64) TraceRing::Lane {
+  mutable Spinlock lock;
+  std::vector<TraceRecord> slots;  // power-of-two length, <= limit
+  size_t limit = 0;                // this lane's share of the budget
+  uint64_t count = 0;              // appends into this lane, ever
+  std::array<uint64_t, kEventCount> events{};
+};
 
-void TraceRing::SetShards(uint32_t shards) {
-  if (shards == 0) shards = 1;
-  if (shards > smp::kMaxCpus) shards = smp::kMaxCpus;
-  shards_.clear();
-  for (uint32_t i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->slots.resize(per_shard_capacity_);
-    shards_.push_back(std::move(shard));
+namespace {
+
+constexpr size_t kMinLaneSlots = 64;
+
+/// Shrink `slots` (holding records [0, count) modulo its length) to
+/// `size` slots, keeping the newest records at their modulo positions.
+void TrimSlots(std::vector<TraceRecord>& slots, uint64_t count, size_t size) {
+  std::vector<TraceRecord> kept(size);
+  const uint64_t keep = std::min<uint64_t>(count, size);
+  for (uint64_t i = count - keep; i < count; ++i) {
+    kept[i & (size - 1)] = slots[i & (slots.size() - 1)];
   }
-  next_.store(0, std::memory_order_release);
+  slots = std::move(kept);
 }
 
-TraceRing::Shard& TraceRing::MyShard() {
-  const uint32_t cpu = smp::CurrentCpu();
-  return *shards_[cpu < shards_.size() ? cpu : cpu % shards_.size()];
+}  // namespace
+
+TraceRing::TraceRing(size_t capacity) : capacity_(RoundUpPow2(capacity)) {}
+
+TraceRing::~TraceRing() { Clear(); }
+
+TraceRing::Lane& TraceRing::MyLane(uint32_t cpu) {
+  Lane* lane = lanes_[cpu].load(std::memory_order_acquire);
+  return lane != nullptr ? *lane : AddLane(cpu);
+}
+
+TraceRing::Lane& TraceRing::AddLane(uint32_t cpu) {
+  std::lock_guard<Spinlock> guard(add_lock_);
+  if (Lane* lane = lanes_[cpu].load(std::memory_order_acquire)) return *lane;
+  const size_t share = std::bit_floor(capacity_ / (lane_count_ + 1));
+  for (const auto& slot : lanes_) {
+    Lane* other = slot.load(std::memory_order_relaxed);
+    if (other == nullptr) continue;
+    std::lock_guard<Spinlock> lane_guard(other->lock);
+    other->limit = share;
+    if (other->slots.size() > share) {
+      TrimSlots(other->slots, other->count, share);
+    }
+  }
+  auto* lane = new Lane;
+  lane->limit = share;
+  lane->slots.resize(std::min(kMinLaneSlots, share));
+  ++lane_count_;
+  lanes_[cpu].store(lane, std::memory_order_release);
+  return *lane;
 }
 
 void TraceRing::Append(TraceRecord record) {
-  record.seq = next_.fetch_add(1, std::memory_order_acq_rel);
-  Shard& shard = MyShard();
-  std::lock_guard<Spinlock> guard(shard.lock);
-  shard.slots[shard.count & mask_] = record;
-  ++shard.count;
+  const uint32_t cpu = smp::CurrentCpu();
+  Lane& lane = MyLane(cpu);
+  std::lock_guard<Spinlock> guard(lane.lock);
+  record.seq = MakeSeq(cpu, lane.count);
+  // A lane that has never wrapped grows in place: its records keep their
+  // slots under the wider mask.
+  if (lane.count == lane.slots.size() && lane.slots.size() < lane.limit) {
+    lane.slots.resize(lane.slots.size() * 2);
+  }
+  lane.slots[lane.count & (lane.slots.size() - 1)] = record;
+  ++lane.count;
+  ++lane.events[Index(record.event)];
+}
+
+template <typename Fn>
+void TraceRing::ForEachLane(Fn&& fn) const {
+  for (const auto& slot : lanes_) {
+    const Lane* lane = slot.load(std::memory_order_acquire);
+    if (lane == nullptr) continue;
+    std::lock_guard<Spinlock> guard(lane->lock);
+    fn(*lane);
+  }
+}
+
+uint64_t TraceRing::total_appended() const {
+  uint64_t total = 0;
+  ForEachLane([&total](const Lane& lane) { total += lane.count; });
+  return total;
 }
 
 uint64_t TraceRing::dropped() const {
-  const uint64_t total = total_appended();
-  uint64_t retained = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<Spinlock> guard(shard->lock);
-    retained += std::min<uint64_t>(shard->count, per_shard_capacity_);
-  }
-  return total > retained ? total - retained : 0;
+  uint64_t dropped = 0;
+  ForEachLane([&dropped](const Lane& lane) {
+    if (lane.count > lane.slots.size()) {
+      dropped += lane.count - lane.slots.size();
+    }
+  });
+  return dropped;
+}
+
+uint64_t TraceRing::event_count(EventId id) const {
+  uint64_t total = 0;
+  ForEachLane(
+      [&total, id](const Lane& lane) { total += lane.events[Index(id)]; });
+  return total;
 }
 
 std::vector<TraceRecord> TraceRing::Snapshot() const {
   std::vector<TraceRecord> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<Spinlock> guard(shard->lock);
-    const uint64_t retained =
-        std::min<uint64_t>(shard->count, per_shard_capacity_);
-    for (uint64_t i = shard->count - retained; i < shard->count; ++i) {
-      out.push_back(shard->slots[i & mask_]);
+  ForEachLane([&out](const Lane& lane) {
+    const uint64_t mask = lane.slots.size() - 1;
+    const uint64_t retained = std::min<uint64_t>(lane.count, lane.slots.size());
+    for (uint64_t i = lane.count - retained; i < lane.count; ++i) {
+      out.push_back(lane.slots[i & mask]);
     }
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
               return a.tsc != b.tsc ? a.tsc < b.tsc : a.seq < b.seq;
@@ -116,18 +178,16 @@ std::vector<TraceRecord> TraceRing::Snapshot() const {
 }
 
 void TraceRing::Clear() {
-  next_.store(0, std::memory_order_release);
-  for (const auto& shard : shards_) {
-    std::lock_guard<Spinlock> guard(shard->lock);
-    shard->count = 0;
-    std::fill(shard->slots.begin(), shard->slots.end(), TraceRecord{});
+  std::lock_guard<Spinlock> guard(add_lock_);
+  for (auto& slot : lanes_) {
+    delete slot.exchange(nullptr, std::memory_order_acq_rel);
   }
+  lane_count_ = 0;
 }
 
 void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
                     uint64_t a3) {
   if (!enabled()) return;
-  counts_[Index(event)].fetch_add(1, std::memory_order_relaxed);
   TraceRecord record;
   const sim::VirtualClock* clock = clock_.load(std::memory_order_acquire);
   record.tsc = clock != nullptr ? clock->ReadTsc() : 0;
@@ -140,10 +200,7 @@ void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
   ring_.Append(record);
 }
 
-void Tracer::Reset() {
-  ring_.Clear();
-  for (auto& count : counts_) count.store(0, std::memory_order_relaxed);
-}
+void Tracer::Reset() { ring_.Clear(); }
 
 Tracer& GlobalTracer() {
   static Tracer tracer;

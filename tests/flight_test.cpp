@@ -265,7 +265,6 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
   ScopedSpanClock scoped;
   auto& tracer = trace::GlobalTracer();
   tracer.Reset();
-  tracer.ring().SetShards(4);
   trace::GlobalSpans().Reset();
 
   // Each CPU advances its own virtual clock at a different rate, so the
@@ -302,7 +301,6 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
       << "spans should export as real-duration events";
 #endif
 
-  tracer.ring().SetShards(1);
   tracer.Reset();
 }
 

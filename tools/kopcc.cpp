@@ -669,11 +669,10 @@ int Run(const std::vector<std::string>& args) {
 
   if (cpus > 1) {
     // SMP run: every simulated CPU calls the same entry concurrently on
-    // its own per-CPU execution context (one trace-ring shard per CPU).
+    // its own per-CPU execution context (and its own trace-ring lane).
     if (Status prepared = loader.PrepareCpus(cpus); !prepared.ok()) {
       return Fail(prepared.ToString());
     }
-    trace::GlobalTracer().ring().SetShards(cpus);
     std::vector<Result<uint64_t>> results(cpus, uint64_t{0});
     smp::RunOnCpus(cpus, [&](uint32_t cpu) {
       results[cpu] = (*loaded)->Call(entry, call_args);
