@@ -42,6 +42,9 @@ using kop::kernel::LoadedModule;
 using kop::kernel::ModuleLoader;
 
 struct Variant {
+  Variant(const char* label_in, bool journal_in, bool watchdog_in)
+      : label(label_in), journal(journal_in), watchdog(watchdog_in) {}
+
   const char* label;
   bool journal;
   bool watchdog;

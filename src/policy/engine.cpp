@@ -10,11 +10,44 @@
 
 namespace kop::policy {
 
+namespace {
+
+/// Membership in an attested legal-target set. An out-of-range set id (a
+/// module that skipped registration, or a forged rebase) denies: unknown
+/// provenance is never a licence to jump.
+bool CfiAllows(const PolicyFrame& frame, uint64_t target, uint64_t set_id) {
+  return set_id < frame.cfi_sets.size() &&
+         std::binary_search(frame.cfi_sets[set_id].begin(),
+                            frame.cfi_sets[set_id].end(), target);
+}
+
+/// Run an inline decision inside a guard-decision span. Hand-rolled (vs
+/// KOP_SPAN) to use the pinned recorder pointer: a disabled recorder
+/// costs one relaxed load, no out-of-line call.
+template <typename Decision>
+bool InSpan([[maybe_unused]] trace::SpanRecorder* spans,
+            [[maybe_unused]] uint64_t arg, Decision decide) {
+#if KOP_SPANS_ENABLED
+  const bool span_active = spans->enabled();
+  const uint64_t span_begin = span_active ? spans->BeginSpan() : 0;
+  const bool allowed = decide();
+  if (span_active) {
+    spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, arg);
+  }
+  return allowed;
+#else
+  return decide();
+#endif
+}
+
+}  // namespace
+
 PolicyEngine::PolicyEngine(kernel::Kernel* kernel,
-                           std::unique_ptr<PolicyStore> store, PolicyMode mode)
+                           std::unique_ptr<RegionTable64> table,
+                           PolicyMode mode)
     : kernel_(kernel),
-      store_(std::move(store)),
-      store_ptr_(store_.get()),
+      table_(table != nullptr ? std::move(table)
+                              : std::make_unique<RegionTable64>()),
       mode_(mode),
       latency_hist_(
           trace::GlobalMetrics().GetHistogram("guard.latency_cycles")),
@@ -22,11 +55,7 @@ PolicyEngine::PolicyEngine(kernel::Kernel* kernel,
           trace::GlobalMetrics().GetHistogram("policy.lookup_depth")),
       denied_counter_(trace::GlobalMetrics().GetCounter("guard.denied")),
       elided_counter_(trace::GlobalMetrics().GetCounter("guard.elided")),
-      deopt_counter_(trace::GlobalMetrics().GetCounter("guard.deopt")) {
-  // Store mutations tick the engine's combined mutation clock so pinned
-  // inline guards see them with a single generation load.
-  store_->AttachMutationCell(&mutation_gen_);
-}
+      deopt_counter_(trace::GlobalMetrics().GetCounter("guard.deopt")) {}
 
 PolicyEngine::~PolicyEngine() {
   // No guard may be in flight at destruction. Retired frames drain in
@@ -36,34 +65,24 @@ PolicyEngine::~PolicyEngine() {
 
 const PolicyFrame* PolicyEngine::CurrentFrame() const {
   const PolicyFrame* frame = frame_.load(std::memory_order_acquire);
-  if (frame != nullptr &&
-      frame->store_generation ==
-          store_ptr_.load(std::memory_order_acquire)->generation() &&
-      frame->config_generation ==
-          config_generation_.load(std::memory_order_acquire)) {
-    return frame;
-  }
+  if (frame != nullptr && frame->generation == Clock()) return frame;
   return RepublishFrame();
 }
 
 const PolicyFrame* PolicyEngine::RepublishFrame() const {
   std::lock_guard<Spinlock> guard(writer_lock_);
   // Re-check under the writer lock: the CPU that beat us here may have
-  // already published exactly the frame we came to build.
-  const uint64_t store_gen = store_->generation();
-  const uint64_t config_gen =
-      config_generation_.load(std::memory_order_acquire);
+  // already published exactly the frame we came to build. The clock is
+  // read before the table snapshot, so the frame never holds less than
+  // its generation promises (at worst more, which the next check
+  // republishes).
+  const uint64_t clock = Clock();
   const PolicyFrame* frame = frame_.load(std::memory_order_acquire);
-  if (frame != nullptr && frame->store_generation == store_gen &&
-      frame->config_generation == config_gen) {
-    return frame;
-  }
+  if (frame != nullptr && frame->generation == clock) return frame;
 
   auto* fresh = new PolicyFrame;
-  fresh->regions = store_->Snapshot();
-  fresh->store_size = fresh->regions.size();
-  fresh->store_generation = store_gen;
-  fresh->config_generation = config_gen;
+  fresh->regions = table_->Snapshot();
+  fresh->generation = clock;
   fresh->intrinsic_allowed.assign(intrinsic_allowed_.begin(),
                                   intrinsic_allowed_.end());
   fresh->intrinsic_denied.assign(intrinsic_denied_.begin(),
@@ -80,61 +99,27 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   return fresh;
 }
 
-std::optional<uint32_t> PolicyEngine::FrameLookup(const PolicyFrame& frame,
-                                                  uint64_t addr, uint64_t size,
-                                                  uint64_t* depth) {
+bool PolicyEngine::Decide(const PolicyFrame& frame, uint64_t addr,
+                          uint64_t size, uint64_t access_flags,
+                          bool default_allow, uint64_t* depth) {
   uint64_t scanned = 0;
   for (const Region& region : frame.regions) {
     ++scanned;
     if (region.Contains(addr, size)) {
       *depth = scanned;
-      return region.prot;
+      return region.Allows(access_flags);
     }
   }
   *depth = scanned;
-  return std::nullopt;
-}
-
-std::unique_ptr<PolicyStore> PolicyEngine::SwapStore(
-    std::unique_ptr<PolicyStore> store) {
-  std::unique_ptr<PolicyStore> old;
-  {
-    std::lock_guard<Spinlock> guard(writer_lock_);
-    old = std::move(store_);
-    store_ = std::move(store);
-    store_ptr_.store(store_.get(), std::memory_order_release);
-    // The outgoing store keeps living in the caller's hands; its future
-    // mutations are no longer policy and must not tick our clock.
-    old->AttachMutationCell(nullptr);
-    store_->AttachMutationCell(&mutation_gen_);
-    // Carry the regions over so a live swap preserves the policy.
-    for (const Region& region : old->Snapshot()) {
-      (void)store_->Add(region);
-    }
-    // The frame's store_generation was drawn from the OLD store's
-    // counter; bumping the config generation forces republish even if
-    // the new store's counter happens to coincide.
-    config_generation_.fetch_add(1, std::memory_order_acq_rel);
-    mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  // Grace period: once every in-flight guard has left its read section,
-  // no CPU can still be comparing generations against the old store, and
-  // the caller may destroy it.
-  rcu_.Synchronize();
-  return old;
+  return default_allow;
 }
 
 bool PolicyEngine::Check(uint64_t addr, uint64_t size,
                          uint64_t access_flags) const {
   smp::RcuDomain::ReadGuard rcu(rcu_);
-  const PolicyFrame* frame = CurrentFrame();
   uint64_t depth = 0;
-  const std::optional<uint32_t> prot =
-      FrameLookup(*frame, addr, size, &depth);
-  if (prot.has_value()) {
-    return (*prot & access_flags) == access_flags;
-  }
-  return mode() == PolicyMode::kDefaultAllow;
+  return Decide(*CurrentFrame(), addr, size, access_flags,
+                mode() == PolicyMode::kDefaultAllow, &depth);
 }
 
 void PolicyEngine::GrowSiteTable(SiteShard& shard, uint64_t site) {
@@ -206,64 +191,46 @@ void PolicyEngine::RecordViolation(const ViolationRecord& record) {
   violations_.push(record);
 }
 
-bool PolicyEngine::Guard(uint64_t addr, uint64_t size,
-                         uint64_t access_flags) {
-  KOP_SPAN(kGuardDecision, addr);
-  const uint64_t site = trace::CurrentGuardSite();
-  bool allowed;
-  {
-    smp::RcuDomain::ReadGuard rcu(rcu_);
-    const PolicyFrame* frame = CurrentFrame();
-    CpuStats& my = cpu_stats_.Mine();
-    my.guard_calls.fetch_add(1, std::memory_order_relaxed);
-    const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->store_size));
-    if (charge_cycles_.load(std::memory_order_relaxed)) {
-      kernel_->clock().Advance(guard_cycles);
-    }
-    latency_hist_->Observe(guard_cycles);
-
-    uint64_t depth = 0;
-    const std::optional<uint32_t> prot =
-        FrameLookup(*frame, addr, size, &depth);
-    lookup_depth_hist_->Observe(static_cast<double>(depth));
-    KOP_TRACE(kPolicyLookup, depth, frame->store_size);
-
-    allowed = prot.has_value()
-                  ? (*prot & access_flags) == access_flags
-                  : mode() == PolicyMode::kDefaultAllow;
-    if (site == force_deny_site_.load(std::memory_order_relaxed))
-        [[unlikely]] {
-      allowed = false;
-    }
-    NoteSite(site, allowed);
-    if (allowed) {
-      my.allowed.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      my.denied.fetch_add(1, std::memory_order_relaxed);
-      RecordViolation(ViolationRecord{addr, size, access_flags,
-                                      FoldGuardCalls(), false, site, false});
-    }
+void PolicyEngine::ChargeGuard(const PolicyFrame& frame) {
+  const double guard_cycles = kernel_->machine().GuardCycles(
+      static_cast<uint32_t>(frame.regions.size()));
+  if (charge_cycles_.load(std::memory_order_relaxed)) {
+    kernel_->clock().Advance(guard_cycles);
   }
-  KOP_TRACE(kGuardCheck, addr, size, access_flags, site);
-  if (allowed) return true;
+  latency_hist_->Observe(guard_cycles);
+}
+
+bool PolicyEngine::Violation(uint64_t addr, uint64_t size,
+                             uint64_t access_flags, uint64_t site, bool cfi) {
   KOP_TRACE(kGuardDeny, addr, size, access_flags, site);
   denied_counter_->Add();
-  const char* kind =
-      (access_flags & kGuardAccessWrite)
-          ? ((access_flags & kGuardAccessRead) ? "read-write" : "write")
-          : "read";
-  kernel_->log().Printk(
-      kernel::KernLevel::kAlert,
-      "CARAT KOP: forbidden %s access to 0x%llx (size %llu) blocked by policy",
-      kind, static_cast<unsigned long long>(addr),
-      static_cast<unsigned long long>(size));
+  if (cfi) {
+    kernel_->log().Printk(
+        kernel::KernLevel::kAlert,
+        "CARAT KOP: forbidden indirect call to 0x%llx (set %llu) blocked by "
+        "policy",
+        static_cast<unsigned long long>(addr),
+        static_cast<unsigned long long>(size));
+  } else {
+    const char* kind =
+        (access_flags & kGuardAccessWrite)
+            ? ((access_flags & kGuardAccessRead) ? "read-write" : "write")
+            : "read";
+    kernel_->log().Printk(
+        kernel::KernLevel::kAlert,
+        "CARAT KOP: forbidden %s access to 0x%llx (size %llu) blocked by "
+        "policy",
+        kind, static_cast<unsigned long long>(addr),
+        static_cast<unsigned long long>(size));
+  }
   const ViolationAction action = violation_action();
   if (action == ViolationAction::kPanic) {
-    kernel_->Panic("CARAT KOP guard violation");  // throws KernelPanic
+    // Throws KernelPanic.
+    kernel_->Panic(cfi ? "CARAT KOP cfi violation"
+                       : "CARAT KOP guard violation");
   }
   if (action == ViolationAction::kQuarantine) {
-    throw GuardViolation(addr, size, access_flags, site);
+    throw GuardViolation(addr, size, access_flags, site, cfi);
   }
   return false;
 }
@@ -278,22 +245,14 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
     const PolicyFrame* frame = CurrentFrame();
     CpuStats& my = cpu_stats_.Mine();
     my.guard_calls.fetch_add(1, std::memory_order_relaxed);
-    const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->store_size));
-    if (charge_cycles_.load(std::memory_order_relaxed)) {
-      kernel_->clock().Advance(guard_cycles);
-    }
-    latency_hist_->Observe(guard_cycles);
+    ChargeGuard(*frame);
 
     uint64_t depth = 0;
-    const std::optional<uint32_t> prot =
-        FrameLookup(*frame, addr, size, &depth);
+    allowed = Decide(*frame, addr, size, access_flags,
+                     mode() == PolicyMode::kDefaultAllow, &depth);
     lookup_depth_hist_->Observe(static_cast<double>(depth));
-    KOP_TRACE(kPolicyLookup, depth, frame->store_size);
+    KOP_TRACE(kPolicyLookup, depth, frame->regions.size());
 
-    allowed = prot.has_value()
-                  ? (*prot & access_flags) == access_flags
-                  : mode() == PolicyMode::kDefaultAllow;
     if (site == force_deny_site_.load(std::memory_order_relaxed))
         [[unlikely]] {
       allowed = false;
@@ -320,25 +279,7 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
   }
   KOP_TRACE(kGuardCheck, addr, size, access_flags, site);
   if (allowed) return true;
-  KOP_TRACE(kGuardDeny, addr, size, access_flags, site);
-  denied_counter_->Add();
-  const char* kind =
-      (access_flags & kGuardAccessWrite)
-          ? ((access_flags & kGuardAccessRead) ? "read-write" : "write")
-          : "read";
-  kernel_->log().Printk(
-      kernel::KernLevel::kAlert,
-      "CARAT KOP: forbidden %s access to 0x%llx (size %llu) blocked by policy",
-      kind, static_cast<unsigned long long>(addr),
-      static_cast<unsigned long long>(size));
-  const ViolationAction action = violation_action();
-  if (action == ViolationAction::kPanic) {
-    kernel_->Panic("CARAT KOP guard violation");  // throws KernelPanic
-  }
-  if (action == ViolationAction::kQuarantine) {
-    throw GuardViolation(addr, size, access_flags, site);
-  }
-  return false;
+  return Violation(addr, size, access_flags, site, /*cfi=*/false);
 }
 
 bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
@@ -353,19 +294,9 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
     // A CFI decision is a guard decision: same machine-model cost, same
     // latency histogram, so CFI-on vs CFI-off deltas are visible in the
     // virtual clock the benches read.
-    const double guard_cycles = kernel_->machine().GuardCycles(
-        static_cast<uint32_t>(frame->store_size));
-    if (charge_cycles_.load(std::memory_order_relaxed)) {
-      kernel_->clock().Advance(guard_cycles);
-    }
-    latency_hist_->Observe(guard_cycles);
+    ChargeGuard(*frame);
 
-    // Membership in the attested legal-target set. An out-of-range set
-    // id (a module that skipped registration, or a forged rebase) denies:
-    // unknown provenance is never a licence to jump.
-    allowed = set_id < frame->cfi_sets.size() &&
-              std::binary_search(frame->cfi_sets[set_id].begin(),
-                                 frame->cfi_sets[set_id].end(), target);
+    allowed = CfiAllows(*frame, target, set_id);
     if (site == force_deny_site_.load(std::memory_order_relaxed))
         [[unlikely]] {
       allowed = false;
@@ -379,22 +310,7 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
   }
   KOP_TRACE(kGuardCheck, target, set_id, 0, site);
   if (allowed) return true;
-  KOP_TRACE(kGuardDeny, target, set_id, 0, site);
-  denied_counter_->Add();
-  kernel_->log().Printk(
-      kernel::KernLevel::kAlert,
-      "CARAT KOP: forbidden indirect call to 0x%llx (set %llu) blocked by "
-      "policy",
-      static_cast<unsigned long long>(target),
-      static_cast<unsigned long long>(set_id));
-  const ViolationAction action = violation_action();
-  if (action == ViolationAction::kPanic) {
-    kernel_->Panic("CARAT KOP cfi violation");  // throws KernelPanic
-  }
-  if (action == ViolationAction::kQuarantine) {
-    throw GuardViolation(target, set_id, 0, site, /*is_cfi=*/true);
-  }
-  return false;
+  return Violation(target, set_id, 0, site, /*cfi=*/true);
 }
 
 uint64_t PolicyEngine::RegisterCfiSets(
@@ -409,7 +325,6 @@ uint64_t PolicyEngine::RegisterCfiSets(
   // Same protocol as the intrinsic mutators: the frame's CFI copy went
   // stale, so the next check republishes and pinned calls deopt once.
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
   return base;
 }
 
@@ -450,165 +365,97 @@ void PolicyEngine::RefreshPin(PinSlot& pin) {
   // Snapshot the mutation clock BEFORE resolving the frame: a mutation
   // that lands between the two reads leaves the snapshot behind the live
   // clock, so the next inline guard deopts and refreshes — a spurious
-  // deopt, never a stale allow. (Store mutators bump their structural
-  // generation before ticking our cell, so a caught-up snapshot implies
-  // CurrentFrame below sees the new store generation too.)
-  pin.mutation_gen = mutation_gen_.load(std::memory_order_acquire);
+  // deopt, never a stale allow.
+  pin.generation = Clock();
   // Caller holds the slot's read section, so CurrentFrame's result stays
   // valid for the remainder of the pin even if another CPU republishes.
   const PolicyFrame* frame = CurrentFrame();
   pin.frame = frame;
   pin.guard_cycles = kernel_->machine().GuardCycles(
-      static_cast<uint32_t>(frame->store_size));
-  // Mode is config: SetMode bumps the mutation clock, so this snapshot
-  // can only go stale together with a clock mismatch.
+      static_cast<uint32_t>(frame->regions.size()));
+  // Mode is config: SetMode moves the clock, so this snapshot can only
+  // go stale together with a clock mismatch.
   pin.default_allow = mode() == PolicyMode::kDefaultAllow;
 }
 
-bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
-                             uint64_t access_flags, uint64_t site) {
+PolicyEngine::PinSlot* PolicyEngine::InlinePin(uint64_t site) {
   PinSlot& pin = pin_slots_.Mine();
   if (pin.depth == 0) [[unlikely]] {
-    return false;  // not pinned: fast path unavailable, not a deopt
+    return nullptr;  // not pinned: fast path unavailable, not a deopt
   }
-  if (pin.mutation_gen !=
-      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    // Policy moved mid-call (store mutation, swap, or config change all
-    // tick the one clock): refresh so later guards in this call are fast
-    // again, and let this one re-decide out of line.
+  if (pin.generation != Clock()) [[unlikely]] {
+    // Policy moved mid-call (a table mutation or a config change): refresh
+    // so later guards in this call are fast again, and let this one
+    // re-decide out of line.
     deopt_counter_->Add();
     RefreshPin(pin);
-    return false;
+    return nullptr;
   }
   if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
     deopt_counter_->Add();
-    return false;  // fault injection: slow path owns the spurious denial
+    return nullptr;  // fault injection: slow path owns the spurious denial
   }
-  // The flight recorder sees inline decisions too: the span opens after
-  // the deopt checks, so a deopted guard is recorded once, by Guard().
-  // Hand-rolled (vs KOP_SPAN) to use the pinned recorder pointer: a
-  // disabled recorder costs one relaxed load, no out-of-line call.
-#if KOP_SPANS_ENABLED
-  const bool span_active = pin.spans->enabled();
-  const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
-#endif
-  uint64_t depth = 0;
-  const std::optional<uint32_t> prot =
-      FrameLookup(*pin.frame, addr, size, &depth);
-  const bool allowed = prot.has_value()
-                           ? (*prot & access_flags) == access_flags
-                           : pin.default_allow;
-#if KOP_SPANS_ENABLED
-  if (span_active) {
-    pin.spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, addr);
-  }
-#endif
-  if (!allowed) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;  // slow path re-decides with full violation semantics
-  }
-  smp::BumpOwned(pin.stats->guard_calls);
-  smp::BumpOwned(pin.stats->allowed);
-  NoteSiteIn(*pin.sites, site, true, 0);
+  return &pin;
+}
+
+void PolicyEngine::ChargePinned(PinSlot& pin) {
   if (charge_cycles_.load(std::memory_order_relaxed)) {
     pin.clock_cell->store(
         pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
         std::memory_order_relaxed);
   }
-  return true;
+}
+
+bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
+                             uint64_t access_flags, uint64_t site) {
+  return PolicyEngine::FastGuardRange(addr, size, access_flags, 0, site);
 }
 
 bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
                                   uint64_t access_flags, uint64_t elided,
                                   uint64_t site) {
-  PinSlot& pin = pin_slots_.Mine();
-  if (pin.depth == 0) [[unlikely]] {
+  PinSlot* pin = InlinePin(site);
+  if (pin == nullptr) [[unlikely]] {
     return false;
   }
-  if (pin.mutation_gen !=
-      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    deopt_counter_->Add();
-    RefreshPin(pin);
-    return false;
-  }
-  if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;
-  }
-#if KOP_SPANS_ENABLED
-  const bool span_active = pin.spans->enabled();
-  const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
-#endif
-  uint64_t depth = 0;
-  const std::optional<uint32_t> prot =
-      FrameLookup(*pin.frame, addr, size, &depth);
-  const bool allowed = prot.has_value()
-                           ? (*prot & access_flags) == access_flags
-                           : pin.default_allow;
-#if KOP_SPANS_ENABLED
-  if (span_active) {
-    pin.spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, addr);
-  }
-#endif
+  // The flight recorder sees inline decisions too: the span opens after
+  // the deopt checks, so a deopted guard is recorded once, by GuardRange().
+  const bool allowed = InSpan(pin->spans, addr, [&] {
+    uint64_t depth = 0;
+    return Decide(*pin->frame, addr, size, access_flags, pin->default_allow,
+                  &depth);
+  });
   if (!allowed) [[unlikely]] {
     deopt_counter_->Add();
-    return false;
+    return false;  // slow path re-decides with full violation semantics
   }
-  smp::BumpOwned(pin.stats->guard_calls);
-  smp::BumpOwned(pin.stats->allowed);
-  NoteSiteIn(*pin.sites, site, true, elided);
+  smp::BumpOwned(pin->stats->guard_calls);
+  smp::BumpOwned(pin->stats->allowed);
+  NoteSiteIn(*pin->sites, site, true, elided);
   if (elided != 0) {
-    smp::BumpOwned(pin.stats->elided, elided);
-    pin.elided_batch += elided;
+    smp::BumpOwned(pin->stats->elided, elided);
+    pin->elided_batch += elided;
   }
-  if (charge_cycles_.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
-  }
+  ChargePinned(*pin);
   return true;
 }
 
 bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
                                 uint64_t site) {
-  PinSlot& pin = pin_slots_.Mine();
-  if (pin.depth == 0) [[unlikely]] {
-    return false;  // not pinned: fast path unavailable, not a deopt
-  }
-  if (pin.mutation_gen !=
-      mutation_gen_.load(std::memory_order_acquire)) [[unlikely]] {
-    deopt_counter_->Add();
-    RefreshPin(pin);
+  PinSlot* pin = InlinePin(site);
+  if (pin == nullptr) [[unlikely]] {
     return false;
   }
-  if (site == force_deny_site_.load(std::memory_order_relaxed)) [[unlikely]] {
-    deopt_counter_->Add();
-    return false;  // fault injection: slow path owns the spurious denial
-  }
-#if KOP_SPANS_ENABLED
-  const bool span_active = pin.spans->enabled();
-  const uint64_t span_begin = span_active ? pin.spans->BeginSpan() : 0;
-#endif
-  const std::vector<std::vector<uint64_t>>& sets = pin.frame->cfi_sets;
-  const bool allowed =
-      set_id < sets.size() &&
-      std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
-#if KOP_SPANS_ENABLED
-  if (span_active) {
-    pin.spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, target);
-  }
-#endif
+  const bool allowed = InSpan(pin->spans, target, [&] {
+    return CfiAllows(*pin->frame, target, set_id);
+  });
   if (!allowed) [[unlikely]] {
     deopt_counter_->Add();
     return false;  // slow path re-decides with full violation semantics
   }
-  smp::BumpOwned(pin.stats->cfi_checks);
-  NoteSiteIn(*pin.sites, site, true, 0);
-  if (charge_cycles_.load(std::memory_order_relaxed)) {
-    pin.clock_cell->store(
-        pin.clock_cell->load(std::memory_order_relaxed) + pin.guard_cycles,
-        std::memory_order_relaxed);
-  }
+  smp::BumpOwned(pin->stats->cfi_checks);
+  NoteSiteIn(*pin->sites, site, true, 0);
+  ChargePinned(*pin);
   return true;
 }
 
@@ -656,7 +503,6 @@ void PolicyEngine::AllowIntrinsic(uint64_t intrinsic_id) {
   intrinsic_denied_.erase(intrinsic_id);
   intrinsic_allowed_.insert(intrinsic_id);
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void PolicyEngine::DenyIntrinsic(uint64_t intrinsic_id) {
@@ -664,14 +510,12 @@ void PolicyEngine::DenyIntrinsic(uint64_t intrinsic_id) {
   intrinsic_allowed_.erase(intrinsic_id);
   intrinsic_denied_.insert(intrinsic_id);
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 void PolicyEngine::SetIntrinsicDefaultAllow(bool allow) {
   std::lock_guard<Spinlock> guard(writer_lock_);
   intrinsic_default_allow_ = allow;
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
-  mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 GuardStats PolicyEngine::stats() const {
@@ -717,7 +561,6 @@ void PolicyEngine::ResetStats() {
     slot.cfi_checks.store(0, std::memory_order_relaxed);
     slot.cfi_denied.store(0, std::memory_order_relaxed);
   });
-  store_->ResetStats();
   {
     std::lock_guard<Spinlock> guard(violations_lock_);
     violations_.clear();

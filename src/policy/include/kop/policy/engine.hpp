@@ -6,15 +6,15 @@
 //
 // SMP read path: guards never take the engine lock. Each guard enters an
 // RCU read section and decides against an immutable PolicyFrame — a
-// flattened copy-published snapshot of the active PolicyStore plus the
-// intrinsic permission sets. Mutators (store Add/Remove/Clear, intrinsic
-// config, store swaps) bump generation counters; the next guard that
-// notices a stale frame republishes a fresh one under the writer lock and
-// retires the old frame to the RCU domain, which frees it only after
-// every in-flight guard that could hold it has left. An in-flight guard
-// therefore always decides against a policy that was atomically current
-// at some point during its execution — fully-old-or-fully-new, never a
-// half-applied update. Counters are per-CPU (folded on read), per-site
+// flattened copy-published snapshot of the region table plus the
+// intrinsic and CFI permission sets. Mutators (table Add/Remove/Clear,
+// mode, intrinsic and CFI config) move the one mutation clock; the next
+// guard that notices a stale frame republishes a fresh one under the
+// writer lock and retires the old frame to the RCU domain, which frees
+// it only after every in-flight guard that could hold it has left. An
+// in-flight guard therefore always decides against a policy that was
+// atomically current at some point during its execution —
+// fully-old-or-fully-new, never a half-applied update. Counters are per-CPU (folded on read), per-site
 // attribution is per-CPU-sharded, and the forensic violation ring has its
 // own lock, so concurrent guards on different CPUs share no cache line on
 // the allow path.
@@ -28,7 +28,7 @@
 
 #include "kop/kernel/guard_fast.hpp"
 #include "kop/kernel/kernel.hpp"
-#include "kop/policy/store.hpp"
+#include "kop/policy/region_table.hpp"
 #include "kop/smp/percpu.hpp"
 #include "kop/smp/rcu.hpp"
 #include "kop/trace/metrics.hpp"
@@ -108,15 +108,15 @@ struct HotSite {
 };
 
 /// Immutable snapshot the lock-free guard path decides against. Regions
-/// are flattened into first-match scan order (the linear table's
-/// semantics: overlaps resolve to the earliest insertion), intrinsic
-/// permissions into sorted vectors for binary search. Published via an
-/// atomic pointer, reclaimed through the RCU domain.
+/// are flattened into first-match scan order (the table's semantics:
+/// overlaps resolve to the earliest insertion), intrinsic permissions
+/// into sorted vectors for binary search. Published via an atomic
+/// pointer, reclaimed through the RCU domain.
 struct PolicyFrame {
   std::vector<Region> regions;
-  size_t store_size = 0;
-  uint64_t store_generation = 0;
-  uint64_t config_generation = 0;
+  /// The engine's mutation clock when this frame was built; the frame is
+  /// current while the clock still reads this value.
+  uint64_t generation = 0;
   std::vector<uint64_t> intrinsic_allowed;  // sorted
   std::vector<uint64_t> intrinsic_denied;   // sorted
   bool intrinsic_default_allow = false;
@@ -129,7 +129,8 @@ struct PolicyFrame {
 
 class PolicyEngine : public kernel::GuardFastOps {
  public:
-  PolicyEngine(kernel::Kernel* kernel, std::unique_ptr<PolicyStore> store,
+  /// A null `table` starts the policy empty.
+  PolicyEngine(kernel::Kernel* kernel, std::unique_ptr<RegionTable64> table,
                PolicyMode mode = PolicyMode::kDefaultDeny);
   ~PolicyEngine();
   PolicyEngine(const PolicyEngine&) = delete;
@@ -139,9 +140,8 @@ class PolicyEngine : public kernel::GuardFastOps {
   void SetMode(PolicyMode mode) {
     mode_.store(mode, std::memory_order_release);
     // The mode is part of the frame config: pinned calls snapshot it, so
-    // a change must move the config generation and deopt inline guards.
+    // a change must move the mutation clock and deopt inline guards.
     config_generation_.fetch_add(1, std::memory_order_acq_rel);
-    mutation_gen_.fetch_add(1, std::memory_order_acq_rel);
   }
   ViolationAction violation_action() const {
     return action_.load(std::memory_order_acquire);
@@ -150,24 +150,21 @@ class PolicyEngine : public kernel::GuardFastOps {
     action_.store(action, std::memory_order_release);
   }
 
-  /// The active store. Mutations through this reference are picked up by
-  /// concurrent guards at their next frame-freshness check (the store's
-  /// own generation counter). Must not race SwapStore.
-  PolicyStore& store() { return *store_; }
-  const PolicyStore& store() const { return *store_; }
-
-  /// Swap the policy structure without touching protected modules — the
-  /// point of the single-symbol guard interface (§3.2). Blocks for an
-  /// RCU grace period: when it returns, no in-flight guard references
-  /// pre-swap policy and the returned store is safe to destroy.
-  std::unique_ptr<PolicyStore> SwapStore(std::unique_ptr<PolicyStore> store);
+  /// The region table. Mutations through this reference are picked up
+  /// by concurrent guards at their next frame-freshness check (the table
+  /// generation is half of the mutation clock).
+  RegionTable64& store() { return *table_; }
+  const RegionTable64& store() const { return *table_; }
 
   /// Pure decision, no logging/panic/accounting.
   bool Check(uint64_t addr, uint64_t size, uint64_t access_flags) const;
 
   /// The guard itself: carat_guard(addr, size, access_flags). Returns
-  /// true when allowed; on denial logs and (by default) panics.
-  bool Guard(uint64_t addr, uint64_t size, uint64_t access_flags);
+  /// true when allowed; on denial logs and (by default) panics. A
+  /// GuardRange that credits no elided accesses.
+  bool Guard(uint64_t addr, uint64_t size, uint64_t access_flags) {
+    return GuardRange(addr, size, access_flags, 0);
+  }
 
   /// carat_guard_range(addr, size, access_flags, elided): the covering
   /// check the elision pass emits for a widened cluster of same-base
@@ -247,15 +244,11 @@ class PolicyEngine : public kernel::GuardFastOps {
   // Inline-guard fast path (kernel::GuardFastOps, DESIGN.md §15). A pin
   // captures the published PolicyFrame once per outermost module call on
   // the calling CPU: one RCU read section held for the call, the frame
-  // pointer, both generations, and the precomputed guard-cycle charge.
-  // Every inline check then runs against the immutable region index with
+  // pointer, the mutation clock, and the precomputed guard-cycle charge.
+  // Every inline check then runs against the immutable region list with
   // no RCU entry, no histogram updates, and no trace events. Any outcome
-  // other than a proven allow deopts (returns false) to Guard()/
-  // GuardRange(), which owns all violation and containment semantics.
-  //
-  // Holding the read section for the whole call means SwapStore's grace
-  // period waits for in-flight module calls to finish — the documented
-  // cost of whole-call pinning (updates between calls are unaffected).
+  // other than a proven allow deopts (returns false) to GuardRange() or
+  // CfiCheck(), which own all violation and containment semantics.
   // ------------------------------------------------------------------
 
   /// Open (or nest) the calling CPU's frame pin. Always succeeds.
@@ -263,9 +256,10 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// Close one nesting level; outermost close leaves the read section.
   void UnpinFrame() override;
   /// True = allowed against the pinned frame and fully accounted.
-  /// False = deopt: not pinned, frame generation moved (the pin is
+  /// False = deopt: not pinned, mutation clock moved (the pin is
   /// refreshed so later guards in the call are fast again), the
   /// fault-injection forced-deny is armed, or the check failed.
+  /// FastGuard is FastGuardRange with no elided members.
   bool FastGuard(uint64_t addr, uint64_t size, uint64_t access_flags,
                  uint64_t site) override;
   bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t access_flags,
@@ -278,7 +272,7 @@ class PolicyEngine : public kernel::GuardFastOps {
   uint64_t RegisterCfiSets(
       const std::vector<std::vector<uint64_t>>& sets) override;
   /// Inline CFI membership check against the pinned frame. Same deopt
-  /// ladder as FastGuard; false sends the caller to CfiCheck(), which
+  /// ladder as FastGuardRange; false sends the caller to CfiCheck(), which
   /// owns violation semantics.
   bool FastCfiCheck(uint64_t target, uint64_t set_id, uint64_t site) override;
 
@@ -322,17 +316,17 @@ class PolicyEngine : public kernel::GuardFastOps {
 
   /// One CPU's frame pin. `rcu` holds the read section open for the
   /// whole outermost module call so `frame` stays valid; the captured
-  /// mutation clock tells FastGuard when the pinned frame went stale
-  /// (deopt + refresh). `depth` counts nesting (module-to-module calls).
-  /// The stats / sites / clock / span fields are resolved once per pin so
-  /// the inline path runs no per-guard CPU-slot lookups; `default_allow`
-  /// may go stale only together with `mutation_gen` (SetMode bumps it),
-  /// which deopts the guard first.
+  /// mutation clock tells the inline path when the pinned frame went
+  /// stale (deopt + refresh). `depth` counts nesting (module-to-module
+  /// calls). The stats / sites / clock / span fields are resolved once
+  /// per pin so the inline path runs no per-guard CPU-slot lookups;
+  /// `default_allow` may go stale only together with `generation`
+  /// (SetMode moves the clock), which deopts the guard first.
   struct PinSlot {
     uint32_t depth = 0;
     std::optional<smp::RcuDomain::ReadGuard> rcu;
     const PolicyFrame* frame = nullptr;
-    uint64_t mutation_gen = 0;
+    uint64_t generation = 0;
     double guard_cycles = 0.0;
     bool default_allow = false;
     CpuStats* stats = nullptr;
@@ -350,16 +344,44 @@ class PolicyEngine : public kernel::GuardFastOps {
     uint64_t elided_batch = 0;
   };
 
+  /// The one mutation clock: table generation plus config generation.
+  /// Both halves only grow, so every policy change moves the sum and a
+  /// captured value equals the live clock only while nothing changed.
+  uint64_t Clock() const {
+    return table_->generation() +
+           config_generation_.load(std::memory_order_acquire);
+  }
+
   /// Current frame if fresh, else republish. Called inside an RCU read
   /// section; the returned pointer is valid until the section ends.
   const PolicyFrame* CurrentFrame() const;
   const PolicyFrame* RepublishFrame() const;
 
-  /// First-match linear scan, the linear table's exact semantics (depth
-  /// counts every entry examined, including the match).
-  static std::optional<uint32_t> FrameLookup(const PolicyFrame& frame,
-                                             uint64_t addr, uint64_t size,
-                                             uint64_t* depth);
+  /// The guard decision, once for every path: first-match linear scan of
+  /// the frame's regions (depth counts every entry examined, including
+  /// the match); the matching region must grant every requested flag,
+  /// and an access no region covers gets `default_allow`.
+  static bool Decide(const PolicyFrame& frame, uint64_t addr, uint64_t size,
+                     uint64_t access_flags, bool default_allow,
+                     uint64_t* depth);
+
+  /// Slow-path cost model shared by memory and CFI guards: the machine
+  /// model's guard cycles for the frame's region count, charged to the
+  /// virtual clock (unless disabled) and the latency histogram.
+  void ChargeGuard(const PolicyFrame& frame);
+  /// A denied slow-path decision: deny trace, counter, printk, then the
+  /// violation action (panic throws KernelPanic, quarantine throws
+  /// GuardViolation). Returns false under kLogOnly.
+  bool Violation(uint64_t addr, uint64_t size, uint64_t access_flags,
+                 uint64_t site, bool cfi);
+
+  /// The inline paths' shared deopt ladder. Returns the calling CPU's pin
+  /// when the inline decision may run, nullptr to send the caller to the
+  /// slow path: not pinned (not a deopt), clock moved (deopt, pin
+  /// refreshed), or the fault-injection forced-deny site.
+  PinSlot* InlinePin(uint64_t site);
+  /// Charge one inline guard's cycles to the pinned CPU's clock cell.
+  void ChargePinned(PinSlot& pin);
 
   void NoteSite(uint64_t site, bool allowed, uint64_t elided = 0);
   /// Shard-directed variant for the inline path (shard resolved at pin
@@ -368,7 +390,7 @@ class PolicyEngine : public kernel::GuardFastOps {
   void NoteSiteIn(SiteShard& shard, uint64_t site, bool allowed,
                   uint64_t elided);
   static void GrowSiteTable(SiteShard& shard, uint64_t site);
-  /// Re-capture the pinned frame after its generations moved (called
+  /// Re-capture the pinned frame after the mutation clock moved (called
   /// with the slot's read section still open, which keeps the refresh
   /// race-free against reclamation).
   void RefreshPin(PinSlot& slot);
@@ -377,31 +399,19 @@ class PolicyEngine : public kernel::GuardFastOps {
   void RecordViolation(const ViolationRecord& record);
 
   kernel::Kernel* kernel_;
-  std::unique_ptr<PolicyStore> store_;
-  // Lock-free alias of store_.get() for the guard path's freshness
-  // check: SwapStore reseats store_ while guards are in flight, so the
-  // pointer read must be atomic. Dereferencing is safe because guards
-  // hold an RCU read section and SwapStore synchronizes before the old
-  // store can be destroyed.
-  std::atomic<PolicyStore*> store_ptr_{nullptr};
+  const std::unique_ptr<RegionTable64> table_;
   std::atomic<PolicyMode> mode_;
   std::atomic<ViolationAction> action_{ViolationAction::kPanic};
   std::atomic<bool> charge_cycles_{true};
   std::atomic<uint64_t> force_deny_site_{kNoForcedSite};
 
-  // Copy-publish machinery. writer_lock_ serializes republish, store
-  // swaps, and intrinsic-config mutation; config_generation_ covers
-  // everything in the frame that is not the store's own contents.
+  // Copy-publish machinery. writer_lock_ serializes republish and
+  // intrinsic/CFI-config mutation; config_generation_ is the clock half
+  // covering everything that is not the table's own contents.
   mutable Spinlock writer_lock_;
   mutable std::atomic<const PolicyFrame*> frame_{nullptr};
   mutable smp::RcuDomain rcu_;
   std::atomic<uint64_t> config_generation_{0};
-  // Combined mutation clock for the inline fast path: bumped by every
-  // config change here AND by store mutators through the attached cell
-  // (PolicyStore::AttachMutationCell), so a pinned guard validates its
-  // frame with ONE generation load instead of two — the store half of
-  // the old check chased store_ptr_ to reach the store's counter.
-  std::atomic<uint64_t> mutation_gen_{0};
   mutable std::atomic<uint64_t> frames_published_{0};
 
   // Intrinsic master sets (guarded by writer_lock_; guards read the

@@ -15,10 +15,10 @@ namespace kop::policy {
 
 class PolicyModule {
  public:
-  /// Insert the policy module into the kernel. `store` defaults to the
-  /// paper's 64-entry linear table when null.
+  /// Insert the policy module into the kernel. A null `table` starts the
+  /// policy empty.
   static Result<std::unique_ptr<PolicyModule>> Insert(
-      kernel::Kernel* kernel, std::unique_ptr<PolicyStore> store = nullptr,
+      kernel::Kernel* kernel, std::unique_ptr<RegionTable64> table = nullptr,
       PolicyMode mode = PolicyMode::kDefaultDeny);
 
   /// Unexports the symbols and removes /dev/carat (rmmod).

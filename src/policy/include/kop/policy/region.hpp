@@ -25,9 +25,6 @@ struct Region {
   bool Contains(uint64_t addr, uint64_t size) const {
     return RangeContains(base, len, addr, size == 0 ? 1 : size);
   }
-  bool Overlaps(const Region& other) const {
-    return RangesOverlap(base, len, other.base, other.len);
-  }
   bool Allows(uint64_t access_flags) const {
     return (prot & access_flags) == access_flags;
   }

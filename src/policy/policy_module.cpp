@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "kop/flight/postmortem.hpp"
-#include "kop/policy/region_table.hpp"
 #include "kop/trace/site.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/util/carat_abi.hpp"
@@ -14,12 +13,11 @@ namespace kop::policy {
 PolicyModule::PolicyModule(kernel::Kernel* kernel) : kernel_(kernel) {}
 
 Result<std::unique_ptr<PolicyModule>> PolicyModule::Insert(
-    kernel::Kernel* kernel, std::unique_ptr<PolicyStore> store,
+    kernel::Kernel* kernel, std::unique_ptr<RegionTable64> table,
     PolicyMode mode) {
-  if (store == nullptr) store = std::make_unique<RegionTable64>();
   auto module = std::unique_ptr<PolicyModule>(new PolicyModule(kernel));
   module->engine_ =
-      std::make_unique<PolicyEngine>(kernel, std::move(store), mode);
+      std::make_unique<PolicyEngine>(kernel, std::move(table), mode);
 
   PolicyEngine* engine = module->engine_.get();
   KOP_RETURN_IF_ERROR(kernel->symbols().ExportFunction(

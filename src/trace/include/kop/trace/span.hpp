@@ -167,7 +167,8 @@ class SpanScope {
 // Compile-time switch, mirroring KOP_TRACE_ENABLED: the build defines
 // KOP_SPANS_ENABLED globally (CMake option, default ON); with it off
 // every KOP_SPAN site compiles to nothing — no object, no destructor,
-// no argument evaluation.
+// no argument evaluation (the arguments stay named inside an unevaluated
+// sizeof, as with KOP_TRACE).
 #ifndef KOP_SPANS_ENABLED
 #define KOP_SPANS_ENABLED 1
 #endif
@@ -180,5 +181,11 @@ class SpanScope {
                                           __LINE__)(        \
       ::kop::trace::SpanKind::kind __VA_OPT__(, ) __VA_ARGS__)
 #else
-#define KOP_SPAN(kind, ...) ((void)0)
+namespace kop::trace {
+/// Declared, never defined: only named in unevaluated operands.
+template <typename... Args>
+int CompiledOutSite(const Args&...);
+}  // namespace kop::trace
+#define KOP_SPAN(kind, ...) \
+  ((void)sizeof(::kop::trace::CompiledOutSite(__VA_ARGS__)))
 #endif

@@ -196,7 +196,9 @@ Tracer& GlobalTracer();
 
 // Compile-time switch. The build defines KOP_TRACE_ENABLED globally
 // (CMake option, default ON); with it off every KOP_TRACE site compiles
-// to nothing — no load, no branch, no argument evaluation.
+// to nothing — no load, no branch, no argument evaluation. The arguments
+// stay named inside an unevaluated sizeof, so a value computed only for
+// a tracepoint is still a used variable in a trace-off build.
 #ifndef KOP_TRACE_ENABLED
 #define KOP_TRACE_ENABLED 1
 #endif
@@ -206,5 +208,11 @@ Tracer& GlobalTracer();
   ::kop::trace::GlobalTracer().Record(              \
       ::kop::trace::EventId::event __VA_OPT__(, ) __VA_ARGS__)
 #else
-#define KOP_TRACE(event, ...) ((void)0)
+namespace kop::trace {
+/// Declared, never defined: only named in unevaluated operands.
+template <typename... Args>
+int CompiledOutSite(const Args&...);
+}  // namespace kop::trace
+#define KOP_TRACE(event, ...) \
+  ((void)sizeof(::kop::trace::CompiledOutSite(__VA_ARGS__)))
 #endif

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "kop/fault/campaign.hpp"
+#include "kop/trace/metrics.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/transform/compiler.hpp"
 
@@ -98,17 +99,26 @@ TEST(FaultCampaignTest, EverySpuriousViolationIsContained) {
 }
 
 TEST(FaultCampaignTest, EveryContainedFaultIsVisibleInTheTrace) {
-  const uint64_t rollbacks_before =
+  trace::Counter* rollback_counter =
+      trace::GlobalMetrics().GetCounter("resilience.rollbacks");
+  const uint64_t counted_before = rollback_counter->value();
+#if KOP_TRACE_ENABLED
+  const uint64_t traced_before =
       trace::GlobalTracer().event_count(trace::EventId::kModuleRollback);
+#endif
   CampaignConfig config;
   config.seed = 5;
   CampaignReport report = RunCampaign(config);
-  const uint64_t rollbacks =
-      trace::GlobalTracer().event_count(trace::EventId::kModuleRollback) -
-      rollbacks_before;
   // Each contained trial rolled back at least once (restart re-inits can
-  // add more rollbacks, never fewer).
-  EXPECT_GE(rollbacks, report.contained);
+  // add more rollbacks, never fewer). The metric counter exists in every
+  // build; the trace events only when tracepoints are compiled in.
+  EXPECT_GE(rollback_counter->value() - counted_before, report.contained);
+#if KOP_TRACE_ENABLED
+  EXPECT_GE(trace::GlobalTracer().event_count(
+                trace::EventId::kModuleRollback) -
+                traced_before,
+            report.contained);
+#endif
 }
 
 TEST(FaultCampaignTest, JsonReportIsWellFormedAndSelfDescribing) {

@@ -2,6 +2,7 @@
 // invariants across modules rather than single behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "kop/e1000e/driver.hpp"
@@ -14,10 +15,7 @@
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/policy_module.hpp"
 #include "kop/policy/region_table.hpp"
-#include "kop/policy/rbtree_store.hpp"
 #include "kop/policy/rules.hpp"
-#include "kop/policy/splay_store.hpp"
-#include "kop/policy/sorted_table.hpp"
 #include "kop/signing/sha256.hpp"
 #include "kop/signing/signer.hpp"
 #include "kop/transform/compiler.hpp"
@@ -176,48 +174,63 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(kir::TypeName(info.param.type));
     });
 
-// --------------------------------- differential policy store sequences --
+// ------------------------------ differential policy decision sequences --
 
-TEST(PolicyDifferentialProperty, RandomOpsAgreeAcrossStores) {
-  // Drive the linear table (reference) and the non-overlapping stores
-  // through the same random add/remove/lookup sequence built from a
-  // non-overlapping region grid so every store can represent it.
+TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
+  // Drive the engine's table and a naive first-match reference model
+  // through the same random add/remove/mode/check sequence. Regions are
+  // random and overlap freely (the table represents overlaps; the first
+  // insertion wins), so every check exercises first-match order.
   Xoshiro256 rng(2024);
-  policy::RegionTable64 reference;
-  policy::SortedRegionTable sorted;
-  policy::RbTreeRegionStore rbtree;
-  policy::SplayRegionTree splay;
-  std::map<uint64_t, bool> present;  // slot -> in stores
+  kernel::Kernel kernel;
+  policy::PolicyEngine engine(&kernel, nullptr);
+  std::vector<policy::Region> reference;  // insertion order
+  bool default_allow = false;
 
-  auto slot_base = [](uint64_t slot) { return 0x40000 + slot * 0x1000; };
+  auto reference_allows = [&](uint64_t addr, uint64_t size, uint64_t flags) {
+    for (const policy::Region& region : reference) {
+      if (region.Contains(addr, size)) return region.Allows(flags);
+    }
+    return default_allow;
+  };
 
-  for (int step = 0; step < 3000; ++step) {
-    const uint64_t slot = rng.NextBelow(48);
-    const int action = static_cast<int>(rng.NextBelow(3));
-    if (action == 0 && !present[slot]) {
-      const policy::Region region{slot_base(slot),
-                                  0x400 + rng.NextBelow(0xc00),
-                                  static_cast<uint32_t>(1 + rng.NextBelow(3))};
-      ASSERT_TRUE(reference.Add(region).ok());
-      ASSERT_TRUE(sorted.Add(region).ok());
-      ASSERT_TRUE(rbtree.Add(region).ok());
-      ASSERT_TRUE(splay.Add(region).ok());
-      present[slot] = true;
-    } else if (action == 1 && present[slot]) {
-      ASSERT_TRUE(reference.Remove(slot_base(slot)).ok());
-      ASSERT_TRUE(sorted.Remove(slot_base(slot)).ok());
-      ASSERT_TRUE(rbtree.Remove(slot_base(slot)).ok());
-      ASSERT_TRUE(splay.Remove(slot_base(slot)).ok());
-      present[slot] = false;
+  for (int step = 0; step < 6000; ++step) {
+    const uint64_t action = rng.NextBelow(16);
+    if (action < 3) {
+      const policy::Region region{0x40000 + rng.NextBelow(48) * 0x400,
+                                  0x100 + rng.NextBelow(0x2000),
+                                  static_cast<uint32_t>(rng.NextBelow(4))};
+      const bool duplicate =
+          std::any_of(reference.begin(), reference.end(),
+                      [&](const policy::Region& r) {
+                        return r.base == region.base && r.len == region.len;
+                      });
+      const bool fits = reference.size() < policy::RegionTable64::kMaxRegions;
+      EXPECT_EQ(engine.store().Add(region).ok(), fits && !duplicate) << step;
+      if (fits && !duplicate) reference.push_back(region);
+    } else if (action < 5 && !reference.empty()) {
+      // Remove drops the first region with that base.
+      const uint64_t base =
+          reference[rng.NextBelow(reference.size())].base;
+      ASSERT_TRUE(engine.store().Remove(base).ok()) << step;
+      reference.erase(std::find_if(
+          reference.begin(), reference.end(),
+          [&](const policy::Region& r) { return r.base == base; }));
+    } else if (action == 5) {
+      default_allow = !default_allow;
+      engine.SetMode(default_allow ? policy::PolicyMode::kDefaultAllow
+                                   : policy::PolicyMode::kDefaultDeny);
     } else {
-      const uint64_t addr = 0x40000 + rng.NextBelow(49 * 0x1000);
-      const uint64_t size = 1 + rng.NextBelow(32);
-      const auto expected = reference.Lookup(addr, size);
-      EXPECT_EQ(sorted.Lookup(addr, size), expected) << step;
-      EXPECT_EQ(rbtree.Lookup(addr, size), expected) << step;
-      EXPECT_EQ(splay.Lookup(addr, size), expected) << step;
+      const uint64_t addr = 0x3f000 + rng.NextBelow(0x16000);
+      const uint64_t size = 1 + rng.NextBelow(64);
+      const uint64_t flags = 1 + rng.NextBelow(3);
+      EXPECT_EQ(engine.Check(addr, size, flags),
+                reference_allows(addr, size, flags))
+          << "step " << step << " addr=0x" << std::hex << addr
+          << " size=" << std::dec << size << " flags=" << flags;
     }
   }
+  ASSERT_EQ(engine.store().Size(), reference.size());
 }
 
 // -------------------------------------------------- kmalloc invariants --
