@@ -85,9 +85,12 @@ Status AddressSpace::MapMmio(std::string name, uint64_t base, uint64_t size,
 Status AddressSpace::Unmap(uint64_t base) {
   for (auto it = regions_.begin(); it != regions_.end(); ++it) {
     if ((*it)->info.base == base) {
-      if (last_hit_.load(std::memory_order_relaxed) == it->get()) {
-        last_hit_.store(nullptr, std::memory_order_relaxed);
-      }
+      const Region* removed = it->get();
+      last_hit_.ForEach([removed](uint32_t, std::atomic<const Region*>& hit) {
+        if (hit.load(std::memory_order_relaxed) == removed) {
+          hit.store(nullptr, std::memory_order_relaxed);
+        }
+      });
       regions_.erase(it);
       return OkStatus();
     }
@@ -98,7 +101,8 @@ Status AddressSpace::Unmap(uint64_t base) {
 const AddressSpace::Region* AddressSpace::Find(uint64_t addr,
                                                uint64_t size) const {
   const uint64_t span = size == 0 ? 1 : size;
-  const Region* cached = last_hit_.load(std::memory_order_relaxed);
+  std::atomic<const Region*>& hint = last_hit_.Mine();
+  const Region* cached = hint.load(std::memory_order_relaxed);
   if (cached != nullptr &&
       RangeContains(cached->info.base, cached->info.size, addr, span)) {
     return cached;
@@ -114,7 +118,7 @@ const AddressSpace::Region* AddressSpace::Find(uint64_t addr,
   if (!RangeContains(region->info.base, region->info.size, addr, span)) {
     return nullptr;
   }
-  last_hit_.store(region, std::memory_order_relaxed);
+  hint.store(region, std::memory_order_relaxed);
   return region;
 }
 

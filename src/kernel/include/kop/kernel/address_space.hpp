@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "kop/smp/percpu.hpp"
 #include "kop/util/status.hpp"
 
 namespace kop::kernel {
@@ -109,13 +110,15 @@ class AddressSpace {
 
   // Sorted by base address; regions never overlap.
   std::vector<std::unique_ptr<Region>> regions_;
-  // Most-recently-hit region. Accesses cluster (a driver hammers its
-  // ring, its MMIO window, its globals), so one range check usually
-  // replaces the binary search. Region objects are heap-stable; the
-  // cache only needs invalidating when a region is unmapped. Atomic so
-  // concurrent CPUs sharing the address space race benignly on the hint
-  // (each CPU's miss just refills it) instead of tearing a pointer.
-  mutable std::atomic<const Region*> last_hit_{nullptr};
+  // Most-recently-hit region, one hint per CPU. Accesses cluster (a
+  // driver hammers its ring, its MMIO window, its globals), so one range
+  // check usually replaces the binary search. Per CPU because a CPU that
+  // alternates between ring RAM, payload and MMIO rewrites its hint on
+  // every switch; a shared hint would bounce one line between every CPU
+  // on the datapath. Region objects are heap-stable; Unmap clears every
+  // CPU's hint that points at the removed region. Atomic so a cross-CPU
+  // clear cannot tear a pointer.
+  mutable smp::PerCpu<std::atomic<const Region*>> last_hit_;
 };
 
 }  // namespace kop::kernel

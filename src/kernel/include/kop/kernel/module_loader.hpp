@@ -75,31 +75,40 @@ VerifyMode DefaultVerifyMode();
 /// restart / rmmod can reclaim what the module would otherwise leak.
 /// Internally locked — CPUs allocate concurrently — with the open-call
 /// subset tracked per CPU (each CPU's transaction reclaims only its own
-/// call's allocations on rollback).
+/// call's allocations on rollback). Each CPU's subset has its own lock,
+/// so opening and closing a call never touches a line another CPU
+/// writes; the ledger lock guards the live set. Lock order: the ledger
+/// lock, then a CPU set's lock.
 struct HeapLedger {
   void OnAlloc(uint64_t addr) {
     if (addr == 0) return;
     std::lock_guard<Spinlock> guard(lock_);
     live_.push_back(addr);
-    call_new_.Mine().push_back(addr);
+    CallSet& mine = call_new_.Mine();
+    std::lock_guard<Spinlock> set_guard(mine.lock);
+    mine.addrs.push_back(addr);
   }
   void OnFree(uint64_t addr) {
     std::lock_guard<Spinlock> guard(lock_);
     Erase(live_, addr);
-    call_new_.ForEach(
-        [addr](uint32_t, std::vector<uint64_t>& v) { Erase(v, addr); });
+    call_new_.ForEach([addr](uint32_t, CallSet& set) {
+      std::lock_guard<Spinlock> set_guard(set.lock);
+      Erase(set.addrs, addr);
+    });
   }
 
   /// Open a transaction on the calling CPU: its call-new set empties.
   void BeginCall() {
-    std::lock_guard<Spinlock> guard(lock_);
-    call_new_.Mine().clear();
+    CallSet& mine = call_new_.Mine();
+    std::lock_guard<Spinlock> set_guard(mine.lock);
+    mine.addrs.clear();
   }
   /// Claim the calling CPU's call-new set (rollback reclaims these).
   std::vector<uint64_t> TakeMyCallNew() {
-    std::lock_guard<Spinlock> guard(lock_);
-    std::vector<uint64_t> out = std::move(call_new_.Mine());
-    call_new_.Mine().clear();
+    CallSet& mine = call_new_.Mine();
+    std::lock_guard<Spinlock> set_guard(mine.lock);
+    std::vector<uint64_t> out = std::move(mine.addrs);
+    mine.addrs.clear();
     return out;
   }
   /// Claim everything still owned (quarantine / teardown / rmmod).
@@ -107,7 +116,10 @@ struct HeapLedger {
     std::lock_guard<Spinlock> guard(lock_);
     std::vector<uint64_t> out = std::move(live_);
     live_.clear();
-    call_new_.ForEach([](uint32_t, std::vector<uint64_t>& v) { v.clear(); });
+    call_new_.ForEach([](uint32_t, CallSet& set) {
+      std::lock_guard<Spinlock> set_guard(set.lock);
+      set.addrs.clear();
+    });
     return out;
   }
   std::vector<uint64_t> LiveSnapshot() const {
@@ -116,6 +128,11 @@ struct HeapLedger {
   }
 
  private:
+  struct CallSet {
+    Spinlock lock;
+    std::vector<uint64_t> addrs;
+  };
+
   static void Erase(std::vector<uint64_t>& v, uint64_t addr) {
     for (size_t i = 0; i < v.size(); ++i) {
       if (v[i] == addr) {
@@ -127,7 +144,7 @@ struct HeapLedger {
 
   mutable Spinlock lock_;
   std::vector<uint64_t> live_;  // currently-owned heap addresses
-  smp::PerCpu<std::vector<uint64_t>> call_new_;  // per-CPU open-call subset
+  smp::PerCpu<CallSet> call_new_;  // per-CPU open-call subset
 };
 
 class LoadedModule {
@@ -281,7 +298,9 @@ class LoadedModule {
   /// journal and resolver are private to the CPU; module globals, the
   /// kernel heap, and the exported-symbol table are shared across slots.
   /// Slot 0 is built by Insmod (the boot CPU); PrepareCpus adds the rest.
-  struct CpuSlot {
+  /// Line-aligned: call_depth changes on every call, and slots are
+  /// allocated back to back.
+  struct alignas(64) CpuSlot {
     std::unique_ptr<kir::MemoryInterface> memory;
     std::unique_ptr<resilience::JournaledMemory> journaled;
     std::unique_ptr<kir::ExternalResolver> resolver;
@@ -306,6 +325,16 @@ class LoadedModule {
   Result<uint64_t> Contain(CpuSlot& slot, resilience::RollbackReason reason,
                            const std::string& what,
                            const GuardViolation* violation);
+
+  /// Outermost calls in flight across all CPUs: the containment drain's
+  /// fold (seq_cst loads; see Contain for the handshake).
+  uint32_t Occupants() const {
+    uint32_t total = 0;
+    occupancy_.ForEach([&total](uint32_t, const std::atomic<uint32_t>& n) {
+      total += n.load(std::memory_order_seq_cst);
+    });
+    return total;
+  }
 
   /// One restart attempt (backoff charge + teardown + re-init). Ok when
   /// the module is running again; error while it stays down (kTimeout /
@@ -356,10 +385,14 @@ class LoadedModule {
   /// (RegisterCfiSets' return at insmod; 0 for un-gated modules).
   uint64_t cfi_base_ = 0;
 
-  // Cross-CPU containment protocol (see Contain).
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<uint32_t> active_calls_{0};
+  // Cross-CPU containment protocol (see Contain). The flags are read on
+  // every call and every journaled load and store, and written only by
+  // a containment, so they get a line of their own.
+  alignas(64) std::atomic<bool> stop_requested_{false};
   std::atomic<bool> containing_{false};
+  // Outermost calls in flight, one cell per CPU: a call writes only its
+  // own CPU's line on entry and exit, and the containment drain folds.
+  smp::PerCpu<std::atomic<uint32_t>> occupancy_;
   std::mutex restart_lock_;
 
   resilience::RecoveryPolicy recovery_ =

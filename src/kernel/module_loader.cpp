@@ -421,7 +421,7 @@ Result<uint64_t> LoadedModule::Call(const std::string& function,
     return PermissionDenied("module '" + name_ +
                             "' is quarantined: " + quarantine_reason());
   }
-  if (slot.call_depth == 0 && stop_requested_.load(std::memory_order_acquire)) {
+  if (slot.call_depth == 0 && stop_requested_.load(std::memory_order_seq_cst)) {
     // Another CPU is draining in-flight calls to contain the module;
     // refuse to start a new one (a late starter would be aborted at its
     // first memory access anyway).
@@ -450,13 +450,16 @@ Result<uint64_t> LoadedModule::Call(const std::string& function,
   }
 
   // Outermost call: open the transaction and register as an occupant
-  // (the containment drain counts occupants). The guard decrements on
-  // every exit, including a KernelPanic thrown out of recovery.
-  active_calls_.fetch_add(1, std::memory_order_acq_rel);
-  struct ActiveGuard {
+  // on this CPU's cell (the containment drain folds the cells). The
+  // guard decrements on every exit, including a KernelPanic thrown out
+  // of recovery. The increment is seq_cst: it is this caller's half of
+  // the containment handshake (see Contain).
+  std::atomic<uint32_t>& occupancy = occupancy_.Mine();
+  occupancy.fetch_add(1, std::memory_order_seq_cst);
+  struct OccupancyGuard {
     std::atomic<uint32_t>* n;
-    ~ActiveGuard() { n->fetch_sub(1, std::memory_order_acq_rel); }
-  } active{&active_calls_};
+    ~OccupancyGuard() { n->fetch_sub(1, std::memory_order_release); }
+  } occupant{&occupancy};
   if (journaling_enabled_) slot.journaled->journal().Begin();
   heap_ledger_.BeginCall();
   // End-to-end latency of the outermost call, containment included (the
@@ -556,9 +559,17 @@ Result<uint64_t> LoadedModule::Contain(CpuSlot& slot,
 
   // Winner: stop the module machine-wide. Every other in-flight call
   // aborts at its next memory access (kInterrupted through the journal
-  // seam), rolls back on its own CPU, and drops out of active_calls_.
+  // seam), rolls back on its own CPU, and leaves its occupancy cell.
   // Recovery mutates shared state (heap, symbols, globals) only after
   // the drain, when this call is the module's sole occupant.
+  //
+  // The stop store and the fold's loads are seq_cst, as are a caller's
+  // occupancy increment and its stop loads (the door check above and
+  // the journal seam). Each side stores then loads the other's
+  // variable, so in the single total order either the fold sees the
+  // caller's increment and waits for it, or the caller's next stop load
+  // sees the stop and it aborts before touching memory. Release/acquire
+  // would allow both sides to miss each other.
   struct ContainGuard {
     LoadedModule* m;
     ~ContainGuard() {
@@ -566,10 +577,8 @@ Result<uint64_t> LoadedModule::Contain(CpuSlot& slot,
       m->containing_.store(false, std::memory_order_release);
     }
   } guard{this};
-  stop_requested_.store(true, std::memory_order_release);
-  while (active_calls_.load(std::memory_order_acquire) > 1) {
-    std::this_thread::yield();
-  }
+  stop_requested_.store(true, std::memory_order_seq_cst);
+  while (Occupants() > 1) std::this_thread::yield();
   // stop_requested_ stays set through recovery — a call starting now
   // must refuse at the door until the state machine has settled (else a
   // second incident could elect a second winner mid-quarantine). The

@@ -68,8 +68,8 @@ void E1000Device::Reset() {
     ivar_[q].store(0, kRelaxed);
   }
   for (uint32_t v = 0; v < kMaxVectors; ++v) {
-    eitr_[v].store(0, kRelaxed);
-    eitr_last_fire_[v].store(0, kRelaxed);
+    vectors_[v].eitr.store(0, kRelaxed);
+    vectors_[v].last_fire.store(0, kRelaxed);
   }
 }
 
@@ -141,29 +141,30 @@ void E1000Device::ResetStats() {
     counters_[q].rx_dropped.store(0, kRelaxed);
   }
   for (uint32_t v = 0; v < kMaxVectors; ++v) {
-    msix_asserts_[v].store(0, kRelaxed);
-    msix_throttled_[v].store(0, kRelaxed);
+    vectors_[v].asserts.store(0, kRelaxed);
+    vectors_[v].throttled.store(0, kRelaxed);
   }
 }
 
 void E1000Device::RaiseMsix(uint32_t vector) {
   vector &= IVAR_VECTOR_MASK;
-  eicr_.fetch_or(1u << vector, kRelaxed);
+  Latch(eicr_, 1u << vector);
   if (((eims_.load(kRelaxed) >> vector) & 1u) == 0) return;  // masked
-  const uint32_t interval = eitr_[vector].load(kRelaxed);
+  VectorState& vec = vectors_[vector];
+  const uint32_t interval = vec.eitr.load(kRelaxed);
   if (interval != 0 && clock_ != nullptr) {
     // ITR mitigation: the cause stays latched in EICR, but the vector
     // only fires when its throttle window has elapsed on the virtual
     // clock (the owning CPU's view of time — one queue, one CPU).
     const uint64_t now = static_cast<uint64_t>(clock_->NowCycles());
-    const uint64_t last = eitr_last_fire_[vector].load(kRelaxed);
-    if (msix_asserts_[vector].load(kRelaxed) != 0 && now - last < interval) {
-      msix_throttled_[vector].fetch_add(1, kRelaxed);
+    const uint64_t last = vec.last_fire.load(kRelaxed);
+    if (vec.asserts.load(kRelaxed) != 0 && now - last < interval) {
+      vec.throttled.fetch_add(1, kRelaxed);
       return;
     }
-    eitr_last_fire_[vector].store(now, kRelaxed);
+    vec.last_fire.store(now, kRelaxed);
   }
-  msix_asserts_[vector].fetch_add(1, kRelaxed);
+  vec.asserts.fetch_add(1, kRelaxed);
 }
 
 void E1000Device::RaiseQueueVector(uint32_t queue, bool tx) {
@@ -202,7 +203,7 @@ uint64_t E1000Device::MmioRead(uint64_t offset, uint32_t size) {
     }
   }
   if (offset >= REG_EITR0 && offset < REG_EITR0 + 4 * kMaxVectors) {
-    return eitr_[(offset - REG_EITR0) / 4].load(kRelaxed);
+    return vectors_[(offset - REG_EITR0) / 4].eitr.load(kRelaxed);
   }
   if (offset >= REG_IVAR0 && offset < REG_IVAR0 + 4 * kMaxQueues) {
     return ivar_[(offset - REG_IVAR0) / 4].load(kRelaxed);
@@ -298,7 +299,7 @@ void E1000Device::MmioWrite(uint64_t offset, uint64_t value, uint32_t size) {
     return;
   }
   if (offset >= REG_EITR0 && offset < REG_EITR0 + 4 * kMaxVectors) {
-    eitr_[(offset - REG_EITR0) / 4].store(v, kRelaxed);
+    vectors_[(offset - REG_EITR0) / 4].eitr.store(v, kRelaxed);
     return;
   }
   if (offset >= REG_IVAR0 && offset < REG_IVAR0 + 4 * kMaxQueues) {

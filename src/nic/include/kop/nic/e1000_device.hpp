@@ -111,10 +111,10 @@ class E1000Device final : public kernel::MmioDevice {
   /// cause that fired with the vector unmasked and its EITR window
   /// elapsed; a throttled cause latched into EICR without firing.
   uint64_t MsixAsserts(uint32_t vector) const {
-    return msix_asserts_[vector].load(std::memory_order_relaxed);
+    return vectors_[vector].asserts.load(std::memory_order_relaxed);
   }
   uint64_t MsixThrottled(uint32_t vector) const {
-    return msix_throttled_[vector].load(std::memory_order_relaxed);
+    return vectors_[vector].throttled.load(std::memory_order_relaxed);
   }
 
   uint64_t mmio_base() const { return mmio_base_; }
@@ -130,14 +130,17 @@ class E1000Device final : public kernel::MmioDevice {
   void ReceiveAddress(uint8_t out[6]) const;
 
  private:
-  struct TxQueue {
+  // Per-queue and per-vector state is padded to whole cache lines: one
+  // CPU drives each queue, and a sweep on one queue must not write a
+  // line another queue's CPU reads or writes.
+  struct alignas(64) TxQueue {
     uint32_t tdbal = 0;
     uint32_t tdbah = 0;
     uint32_t tdlen = 0;
     uint32_t tdh = 0;
     uint32_t tdt = 0;
   };
-  struct RxQueue {
+  struct alignas(64) RxQueue {
     uint32_t rdbal = 0;
     uint32_t rdbah = 0;
     uint32_t rdlen = 0;
@@ -146,7 +149,7 @@ class E1000Device final : public kernel::MmioDevice {
   };
   /// Per-queue counters. Atomic so a fold from any thread is clean
   /// while the owning CPU's sweep is mid-flight.
-  struct QueueCounters {
+  struct alignas(64) QueueCounters {
     std::atomic<uint64_t> descriptors_processed{0};
     std::atomic<uint64_t> frames_transmitted{0};
     std::atomic<uint64_t> bytes_transmitted{0};
@@ -160,6 +163,17 @@ class E1000Device final : public kernel::MmioDevice {
     std::atomic<uint64_t> bytes_received{0};
     std::atomic<uint64_t> rx_dropped{0};
   };
+  /// One MSI-X vector: its EITR register and mitigation bookkeeping.
+  struct alignas(64) VectorState {
+    std::atomic<uint32_t> eitr{0};
+    std::atomic<uint64_t> last_fire{0};
+    std::atomic<uint64_t> asserts{0};
+    std::atomic<uint64_t> throttled{0};
+  };
+  static_assert(sizeof(TxQueue) % 64 == 0 && sizeof(RxQueue) % 64 == 0 &&
+                    sizeof(QueueCounters) % 64 == 0 &&
+                    sizeof(VectorState) % 64 == 0,
+                "per-queue and per-vector state must fill whole lines");
 
   void Reset();
   /// `field` summed over every queue's counters.
@@ -167,11 +181,20 @@ class E1000Device final : public kernel::MmioDevice {
   uint32_t TxRingCount(const TxQueue& q) const { return q.tdlen / kTxDescBytes; }
   uint32_t RxRingCount(const RxQueue& q) const { return q.rdlen / kRxDescBytes; }
 
+  /// Latch `causes` into a cause register. A cause already latched is
+  /// left alone: the load stands in for the read-modify-write, which
+  /// would be a no-op at that point, so concurrent raisers of a latched
+  /// cause only read its line. Linearizes to the same result as an
+  /// unconditional fetch_or against a concurrent read-to-clear.
+  static void Latch(std::atomic<uint32_t>& reg, uint32_t causes) {
+    if ((reg.load(std::memory_order_relaxed) & causes) != causes) {
+      reg.fetch_or(causes, std::memory_order_relaxed);
+    }
+  }
+
   /// Raise a cause for queue `queue`: legacy ICR bits for queue 0, plus
   /// the MSI-X vector IVAR maps the queue's TX or RX cause to (if any).
-  void RaiseLegacy(uint32_t causes) {
-    icr_.fetch_or(causes, std::memory_order_relaxed);
-  }
+  void RaiseLegacy(uint32_t causes) { Latch(icr_, causes); }
   void RaiseQueueVector(uint32_t queue, bool tx);
   void RaiseMsix(uint32_t vector);
 
@@ -183,12 +206,16 @@ class E1000Device final : public kernel::MmioDevice {
 
   // Register file (the subset the driver uses). Shared registers that
   // concurrent queue sweeps touch are atomic; per-queue ring state is
-  // only ever accessed by the queue's driving CPU.
-  uint32_t ctrl_ = 0;
-  uint32_t status_ = 0;
-  std::atomic<uint32_t> icr_{0};
-  std::atomic<uint32_t> ims_{0};
+  // only ever accessed by the queue's driving CPU. The cause registers
+  // and GPRC are the only shared registers the datapath writes, so they
+  // sit on their own line, away from the configuration every sweep
+  // reads.
+  alignas(64) std::atomic<uint32_t> icr_{0};
   std::atomic<uint32_t> eicr_{0};
+  std::atomic<uint32_t> gprc_{0};
+  alignas(64) uint32_t ctrl_ = 0;
+  uint32_t status_ = 0;
+  std::atomic<uint32_t> ims_{0};
   std::atomic<uint32_t> eims_{0};
   uint32_t tctl_ = 0;
   uint32_t rctl_ = 0;
@@ -196,7 +223,6 @@ class E1000Device final : public kernel::MmioDevice {
   uint32_t mrqc_ = 0;
   uint32_t ral0_ = 0;
   uint32_t rah0_ = 0;
-  std::atomic<uint32_t> gprc_{0};
   // GPTC/GOTC are the per-queue TX counters folded when the register is
   // read, less these bases, which a device reset moves to the current
   // fold. The TX path thus writes only its own queue's counters.
@@ -211,10 +237,7 @@ class E1000Device final : public kernel::MmioDevice {
   RxQueue rx_[kMaxQueues];
   QueueCounters counters_[kMaxQueues];
   std::atomic<uint32_t> ivar_[kMaxQueues] = {};
-  std::atomic<uint32_t> eitr_[kMaxVectors] = {};
-  std::atomic<uint64_t> eitr_last_fire_[kMaxVectors] = {};
-  std::atomic<uint64_t> msix_asserts_[kMaxVectors] = {};
-  std::atomic<uint64_t> msix_throttled_[kMaxVectors] = {};
+  VectorState vectors_[kMaxVectors];
 };
 
 }  // namespace kop::nic

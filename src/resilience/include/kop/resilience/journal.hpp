@@ -140,8 +140,10 @@ class JournaledMemory final : public kir::MemoryInterface {
   void SetStopFlag(const std::atomic<bool>* stop) { stop_ = stop; }
 
  private:
+  // seq_cst: the caller's half of the containment handshake (its
+  // occupancy increment, then this load) must not reorder.
   bool Stopped() const {
-    return stop_ != nullptr && stop_->load(std::memory_order_acquire);
+    return stop_ != nullptr && stop_->load(std::memory_order_seq_cst);
   }
 
   kir::MemoryInterface* inner_;

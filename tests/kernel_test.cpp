@@ -9,6 +9,7 @@
 #include "kop/kernel/memory_map.hpp"
 #include "kop/kernel/printk.hpp"
 #include "kop/kernel/procfs.hpp"
+#include "kop/smp/cpu.hpp"
 
 namespace kop::kernel {
 namespace {
@@ -80,6 +81,34 @@ TEST(AddressSpaceTest, UnmapRemovesRegion) {
   EXPECT_FALSE(mem.Unmap(0x1000).ok());
   // Space can be remapped afterwards.
   EXPECT_TRUE(mem.MapRam("tmp2", 0x1000, 0x200).ok());
+}
+
+TEST(AddressSpaceTest, UnmapClearsEveryCpusLookupHint) {
+  // Each CPU keeps its own most-recently-hit region. CPU 1's hint points
+  // at the region CPU 0 unmaps; CPU 0's own hint points elsewhere. CPU
+  // 1's next access must miss and fail, not reuse the freed region.
+  AddressSpace mem;
+  ASSERT_TRUE(mem.MapRam("doomed", 0x1000, 0x100).ok());
+  ASSERT_TRUE(mem.MapRam("other", 0x4000, 0x100).ok());
+  {
+    smp::ScopedCpu cpu1(1);
+    ASSERT_TRUE(mem.Write32(0x1010, 0xfeedu).ok());
+    ASSERT_TRUE(mem.Read32(0x1010).ok());
+  }
+  ASSERT_TRUE(mem.Read32(0x4000).ok());  // CPU 0's hint: "other"
+  ASSERT_TRUE(mem.Unmap(0x1000).ok());
+  {
+    smp::ScopedCpu cpu1(1);
+    const auto stale = mem.Read32(0x1010);
+    ASSERT_FALSE(stale.ok());
+    EXPECT_EQ(stale.status().code(), ErrorCode::kOutOfRange);
+    EXPECT_TRUE(mem.Read32(0x4000).ok());
+  }
+  // A fresh mapping at the same base is found from either CPU.
+  ASSERT_TRUE(mem.MapRam("fresh", 0x1000, 0x100).ok());
+  EXPECT_EQ(*mem.Read32(0x1010), 0u);
+  smp::ScopedCpu cpu1(1);
+  EXPECT_EQ(*mem.Read32(0x1010), 0u);
 }
 
 TEST(AddressSpaceTest, BulkReadWrite) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
@@ -11,6 +14,7 @@
 #include "kop/kir/parser.hpp"
 #include "kop/policy/policy_module.hpp"
 #include "kop/signing/signer.hpp"
+#include "kop/smp/cpu.hpp"
 #include "kop/trace/trace.hpp"
 #include "kop/transform/attestation.hpp"
 #include "kop/transform/compiler.hpp"
@@ -406,6 +410,81 @@ TEST(LoaderStaticVerifyTest, VerifyModeNamesAndDefault) {
   EXPECT_EQ(kernel::VerifyModeName(kernel::VerifyMode::kAttest), "attest");
   EXPECT_EQ(kernel::VerifyModeName(kernel::VerifyMode::kStatic), "static");
   EXPECT_EQ(kernel::VerifyModeName(kernel::VerifyMode::kBoth), "both");
+}
+
+TEST(HeapLedgerTest, FreeFromAnotherCpuLeavesTheAllocatingCpusRollbackSet) {
+  // CPU 1's open call allocates twice; CPU 0 frees one of those blocks
+  // (a pointer handed across CPUs). CPU 1's rollback must then reclaim
+  // only the block still owned, or it would free the other one twice.
+  kernel::HeapLedger ledger;
+  {
+    smp::ScopedCpu cpu1(1);
+    ledger.BeginCall();
+    ledger.OnAlloc(0x1000);
+    ledger.OnAlloc(0x2000);
+  }
+  ledger.OnFree(0x1000);
+  EXPECT_EQ(ledger.LiveSnapshot(), std::vector<uint64_t>{0x2000});
+  EXPECT_TRUE(ledger.TakeMyCallNew().empty());  // CPU 0 opened nothing
+  smp::ScopedCpu cpu1(1);
+  EXPECT_EQ(ledger.TakeMyCallNew(), std::vector<uint64_t>{0x2000});
+  EXPECT_TRUE(ledger.TakeMyCallNew().empty());
+}
+
+TEST(HeapLedgerTest, ConcurrentCpusKeepTheirOwnRollbackSets) {
+  // Four CPUs open calls, allocate, free across CPUs and roll back at
+  // once. Every CPU's rollback set must hold exactly its own open call's
+  // surviving blocks, and the live set what nobody freed.
+  constexpr uint32_t kCpus = 4;
+  constexpr uint64_t kCalls = 500;
+  kernel::HeapLedger ledger;
+  std::vector<std::thread> threads;
+  std::atomic<uint64_t> bad_rollbacks{0};
+  for (uint32_t cpu = 0; cpu < kCpus; ++cpu) {
+    threads.emplace_back([&ledger, &bad_rollbacks, cpu] {
+      smp::ScopedCpu bind(cpu);
+      // Addresses encode (cpu, call, block) so every block is unique.
+      auto addr = [cpu](uint64_t call, uint64_t block) {
+        return (uint64_t{cpu + 1} << 32) | (call << 4) | (block << 3);
+      };
+      const uint32_t next = (cpu + 1) % kCpus;
+      const auto foreign = [next](uint64_t call) {
+        return (uint64_t{next + 1} << 32) | (call << 4);
+      };
+      for (uint64_t call = 1; call <= kCalls; ++call) {
+        ledger.BeginCall();
+        ledger.OnAlloc(addr(call, 0));
+        ledger.OnAlloc(addr(call, 1));
+        // Free a block the next CPU allocated in an earlier call (it may
+        // not exist yet; freeing an unknown address is a no-op).
+        if (call > 2) ledger.OnFree(foreign(call - 2));
+        if (call % 2 == 0) {
+          // Roll back: block 1 survives (block 0 of this call is only
+          // ever freed by the previous CPU, two calls from now).
+          const std::vector<uint64_t> mine = ledger.TakeMyCallNew();
+          for (uint64_t a : mine) {
+            if (a != addr(call, 0) && a != addr(call, 1)) ++bad_rollbacks;
+          }
+          for (uint64_t a : mine) ledger.OnFree(a);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_rollbacks.load(), 0u);
+  // Survivors: block 1 of every odd (committed) call on every CPU, and
+  // block 0 of the odd calls whose cross-CPU free raced ahead of the
+  // allocation or never came. Nothing from a rolled-back call survives.
+  const std::vector<uint64_t> live = ledger.LiveSnapshot();
+  uint64_t block1 = 0;
+  for (uint64_t a : live) {
+    const uint64_t call = (a & 0xffffffffu) >> 4;
+    EXPECT_EQ(call % 2, 1u) << std::hex << a;
+    if ((a & 8) != 0) ++block1;
+  }
+  EXPECT_EQ(block1, kCpus * (kCalls / 2));
+  EXPECT_EQ(ledger.TakeAllLive().size(), live.size());
+  EXPECT_TRUE(ledger.LiveSnapshot().empty());
 }
 
 }  // namespace
