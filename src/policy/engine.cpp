@@ -21,6 +21,35 @@ bool CfiAllows(const PolicyFrame& frame, uint64_t target, uint64_t set_id) {
                             frame.cfi_sets[set_id].end(), target);
 }
 
+/// Build the frame's first-match piece index (see PieceIndex). Regions
+/// fill their pieces from the highest-numbered down, so the lowest
+/// holder of each piece writes last. RegionTable64 refuses regions whose
+/// end wraps past 2^64, so every end lies above its base.
+PieceIndex IndexPieces(const std::vector<Region>& regions) {
+  PieceIndex index;
+  index.starts.reserve(2 * regions.size() + 1);
+  index.starts.push_back(0);
+  for (const Region& region : regions) {
+    index.starts.push_back(region.base);
+    index.starts.push_back(region.base + region.len);
+  }
+  std::sort(index.starts.begin(), index.starts.end());
+  index.starts.erase(std::unique(index.starts.begin(), index.starts.end()),
+                     index.starts.end());
+  index.first.assign(index.starts.size(),
+                     static_cast<uint32_t>(regions.size()));
+  const auto piece = [&index](uint64_t edge) {
+    return std::lower_bound(index.starts.begin(), index.starts.end(), edge) -
+           index.starts.begin();
+  };
+  for (size_t r = regions.size(); r-- > 0;) {
+    std::fill(index.first.begin() + piece(regions[r].base),
+              index.first.begin() + piece(regions[r].base + regions[r].len),
+              static_cast<uint32_t>(r));
+  }
+  return index;
+}
+
 /// Run an inline decision inside a guard-decision span. Hand-rolled (vs
 /// KOP_SPAN) to use the pinned recorder pointer: a disabled recorder
 /// costs one relaxed load, no out-of-line call.
@@ -63,12 +92,6 @@ PolicyEngine::~PolicyEngine() {
   delete frame_.load(std::memory_order_acquire);
 }
 
-const PolicyFrame* PolicyEngine::CurrentFrame() const {
-  const PolicyFrame* frame = frame_.load(std::memory_order_acquire);
-  if (frame != nullptr && frame->generation == Clock()) return frame;
-  return RepublishFrame();
-}
-
 const PolicyFrame* PolicyEngine::RepublishFrame() const {
   std::lock_guard<Spinlock> guard(writer_lock_);
   // Re-check under the writer lock: the CPU that beat us here may have
@@ -82,6 +105,7 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
 
   auto* fresh = new PolicyFrame;
   fresh->regions = table_->Snapshot();
+  fresh->index = IndexPieces(fresh->regions);
   fresh->generation = clock;
   fresh->intrinsic_allowed.assign(intrinsic_allowed_.begin(),
                                   intrinsic_allowed_.end());
@@ -99,18 +123,34 @@ const PolicyFrame* PolicyEngine::RepublishFrame() const {
   return fresh;
 }
 
-bool PolicyEngine::Decide(const PolicyFrame& frame, uint64_t addr,
-                          uint64_t size, uint64_t access_flags,
-                          bool default_allow, uint64_t* depth) {
-  uint64_t scanned = 0;
-  for (const Region& region : frame.regions) {
-    ++scanned;
+inline bool PolicyEngine::Decide(const PolicyFrame& frame, uint64_t addr,
+                                 uint64_t size, uint64_t access_flags,
+                                 bool default_allow, uint64_t* depth) {
+  // addr's piece is the last start <= addr (starts[0] is 0, so there
+  // always is one). Halve the window branch-free down to one cache line
+  // of starts, then count the starts in it that are <= addr: they are a
+  // prefix of the window, and counting has no load-to-load chain.
+  constexpr size_t kStartsPerLine = 64 / sizeof(uint64_t);
+  const uint64_t* starts = frame.index.starts.data();
+  const uint64_t* window = starts;
+  size_t len = frame.index.starts.size();
+  while (len > kStartsPerLine) {
+    const size_t half = len / 2;
+    window = window[half] <= addr ? window + half : window;
+    len -= half;
+  }
+  size_t piece = static_cast<size_t>(window - starts) - 1;
+  for (size_t i = 0; i < len; ++i) piece += window[i] <= addr ? 1 : 0;
+
+  const size_t count = frame.regions.size();
+  for (size_t i = frame.index.first[piece]; i < count; ++i) {
+    const Region& region = frame.regions[i];
     if (region.Contains(addr, size)) {
-      *depth = scanned;
+      *depth = i + 1;
       return region.Allows(access_flags);
     }
   }
-  *depth = scanned;
+  *depth = count;
   return default_allow;
 }
 
@@ -589,6 +629,11 @@ std::vector<ViolationRecord> PolicyEngine::RecentViolations() const {
 std::vector<Region> PolicyEngine::FrameSnapshot() const {
   smp::RcuDomain::ReadGuard rcu(rcu_);
   return CurrentFrame()->regions;
+}
+
+PieceIndex PolicyEngine::FrameIndex() const {
+  smp::RcuDomain::ReadGuard rcu(rcu_);
+  return CurrentFrame()->index;
 }
 
 std::vector<HotSite> PolicyEngine::HotSites() const {

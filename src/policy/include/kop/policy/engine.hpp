@@ -107,16 +107,29 @@ struct HotSite {
   uint64_t elided = 0;
 };
 
+/// First-match index over a frame's regions, built once at publish time.
+/// `starts` holds 0 and every region edge (base and base + len), sorted
+/// and unique. Piece i is [starts[i], starts[i+1]) (the last piece runs
+/// to 2^64), so each piece lies wholly inside or wholly outside every
+/// region. `first[i]` is the index of the lowest-numbered
+/// region holding piece i, or regions.size() when none does.
+struct PieceIndex {
+  std::vector<uint64_t> starts;
+  std::vector<uint32_t> first;
+};
+
 /// Immutable snapshot the lock-free guard path decides against. Regions
 /// are flattened into first-match scan order (the table's semantics:
-/// overlaps resolve to the earliest insertion), intrinsic permissions
-/// into sorted vectors for binary search. Published via an atomic
-/// pointer, reclaimed through the RCU domain.
+/// overlaps resolve to the earliest insertion), with a piece index that
+/// tells a decision where its scan may start; intrinsic permissions are
+/// flattened into sorted vectors for binary search. Published via an
+/// atomic pointer, reclaimed through the RCU domain.
 struct PolicyFrame {
   std::vector<Region> regions;
   /// The engine's mutation clock when this frame was built; the frame is
   /// current while the clock still reads this value.
   uint64_t generation = 0;
+  PieceIndex index;
   std::vector<uint64_t> intrinsic_allowed;  // sorted
   std::vector<uint64_t> intrinsic_denied;   // sorted
   bool intrinsic_default_allow = false;
@@ -239,6 +252,8 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// fully-old-or-fully-new: every snapshot equals one published
   /// configuration in its entirety, never a mix.
   std::vector<Region> FrameSnapshot() const;
+  /// Copy of that frame's piece index (tests check its invariants).
+  PieceIndex FrameIndex() const;
 
   // ------------------------------------------------------------------
   // Inline-guard fast path (kernel::GuardFastOps, DESIGN.md §15). A pin
@@ -335,8 +350,8 @@ class PolicyEngine : public kernel::GuardFastOps {
     // guards charge cycles with one load+store instead of a slot lookup.
     std::atomic<double>* clock_cell = nullptr;
     // The global span recorder, cached so the fast path's guard-decision
-    // span costs one relaxed enabled-load instead of an out-of-line
-    // GlobalSpans() call per guard.
+    // span costs one relaxed enabled-load instead of a GlobalSpans()
+    // static-init check per guard.
     trace::SpanRecorder* spans = nullptr;
     // Elision credits accumulated over the pinned call and flushed to the
     // global guard.elided counter at unpin: one fetch_add per call instead
@@ -354,16 +369,26 @@ class PolicyEngine : public kernel::GuardFastOps {
 
   /// Current frame if fresh, else republish. Called inside an RCU read
   /// section; the returned pointer is valid until the section ends.
-  const PolicyFrame* CurrentFrame() const;
+  const PolicyFrame* CurrentFrame() const {
+    const PolicyFrame* frame = frame_.load(std::memory_order_acquire);
+    if (frame != nullptr && frame->generation == Clock()) return frame;
+    return RepublishFrame();
+  }
   const PolicyFrame* RepublishFrame() const;
 
-  /// The guard decision, once for every path: first-match linear scan of
-  /// the frame's regions (depth counts every entry examined, including
-  /// the match); the matching region must grant every requested flag,
-  /// and an access no region covers gets `default_allow`.
-  static bool Decide(const PolicyFrame& frame, uint64_t addr, uint64_t size,
-                     uint64_t access_flags, bool default_allow,
-                     uint64_t* depth);
+  /// The guard decision, once for every path: the first region (in table
+  /// order) covering the access decides; it must grant every requested
+  /// flag, and an access no region covers gets `default_allow`. The scan
+  /// starts at the first region holding `addr`'s piece of the frame
+  /// index, since no lower-numbered region can cover the access; `depth`
+  /// is the match's 1-based position (the region count on a miss),
+  /// exactly what a linear scan from entry 0 examines. Always inlined:
+  /// it is the body of every guard path.
+  [[gnu::always_inline]] static bool Decide(const PolicyFrame& frame,
+                                            uint64_t addr, uint64_t size,
+                                            uint64_t access_flags,
+                                            bool default_allow,
+                                            uint64_t* depth);
 
   /// Slow-path cost model shared by memory and CFI guards: the machine
   /// model's guard cycles for the frame's region count, charged to the

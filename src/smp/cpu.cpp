@@ -1,18 +1,15 @@
 #include "kop/smp/cpu.hpp"
 
 namespace kop::smp {
-namespace {
 
-thread_local uint32_t t_current_cpu = 0;
+namespace detail {
+constinit thread_local uint32_t t_current_cpu = 0;
+}  // namespace detail
 
-}  // namespace
-
-uint32_t CurrentCpu() { return t_current_cpu; }
-
-ScopedCpu::ScopedCpu(uint32_t cpu) : prev_(t_current_cpu) {
-  t_current_cpu = cpu < kMaxCpus ? cpu : kMaxCpus - 1;
+ScopedCpu::ScopedCpu(uint32_t cpu) : prev_(detail::t_current_cpu) {
+  detail::t_current_cpu = cpu < kMaxCpus ? cpu : kMaxCpus - 1;
 }
 
-ScopedCpu::~ScopedCpu() { t_current_cpu = prev_; }
+ScopedCpu::~ScopedCpu() { detail::t_current_cpu = prev_; }
 
 }  // namespace kop::smp

@@ -130,7 +130,7 @@ class SpanRecorder {
     std::array<HistogramCell, kSpanKindCount> hist;
   };
 
-  Cpu& Mine();
+  Cpu& ForCpu(uint32_t cpu);
 
   size_t per_cpu_capacity_;
   uint64_t mask_;
@@ -139,7 +139,10 @@ class SpanRecorder {
 };
 
 /// The recorder every KOP_SPAN scope records into.
-SpanRecorder& GlobalSpans();
+inline SpanRecorder& GlobalSpans() {
+  static SpanRecorder recorder;
+  return recorder;
+}
 
 /// The RAII scope behind KOP_SPAN. Reads the enable flag once at entry;
 /// a disabled recorder costs one relaxed load and a branch.

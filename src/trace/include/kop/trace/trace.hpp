@@ -113,6 +113,8 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
+  /// Append into the lane of `record.cpu` (< smp::kMaxCpus), the CPU
+  /// the record was stamped on; it assigns `record.seq`.
   void Append(TraceRecord record);
 
   /// The record budget shared by all lanes.
@@ -190,7 +192,10 @@ class Tracer {
 };
 
 /// The tracer every KOP_TRACE site records into.
-Tracer& GlobalTracer();
+inline Tracer& GlobalTracer() {
+  static Tracer tracer;
+  return tracer;
+}
 
 }  // namespace kop::trace
 

@@ -27,9 +27,11 @@ size_t Index(SpanKind kind) {
   return i < kSpanKindCount ? i : 0;
 }
 
-uint64_t NowTsc() {
+/// `cpu`'s virtual time, truncated the way VirtualClock::ReadTsc reads
+/// the calling CPU's (the caller has already read its CPU id).
+uint64_t NowTsc(uint32_t cpu) {
   const sim::VirtualClock* clock = GlobalTracer().clock();
-  return clock != nullptr ? clock->ReadTsc() : 0;
+  return clock != nullptr ? static_cast<uint64_t>(clock->CpuCycles(cpu)) : 0;
 }
 
 }  // namespace
@@ -45,28 +47,29 @@ SpanRecorder::SpanRecorder(size_t per_cpu_capacity)
   }
 }
 
-SpanRecorder::Cpu& SpanRecorder::Mine() {
-  const uint32_t cpu = smp::CurrentCpu();
+SpanRecorder::Cpu& SpanRecorder::ForCpu(uint32_t cpu) {
   return *cpus_[cpu < cpus_.size() ? cpu : cpu % cpus_.size()];
 }
 
 uint64_t SpanRecorder::BeginSpan() {
-  Cpu& cpu = Mine();
+  const uint32_t id = smp::CurrentCpu();
+  Cpu& cpu = ForCpu(id);
   {
     std::lock_guard<Spinlock> guard(cpu.lock);
     ++cpu.depth;
   }
-  return NowTsc();
+  return NowTsc(id);
 }
 
 void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
   SpanEvent event;
   event.begin_tsc = begin_tsc;
-  event.end_tsc = NowTsc();
+  const uint32_t id = smp::CurrentCpu();
+  event.end_tsc = NowTsc(id);
   event.arg = arg;
   event.kind = kind;
-  event.cpu = static_cast<uint16_t>(smp::CurrentCpu());
-  Cpu& cpu = Mine();
+  event.cpu = static_cast<uint16_t>(id);
+  Cpu& cpu = ForCpu(id);
   std::lock_guard<Spinlock> guard(cpu.lock);
   event.seq = MakeSeq(event.cpu, cpu.count);
   if (cpu.depth > 0) --cpu.depth;
@@ -187,11 +190,6 @@ void SpanRecorder::Reset() {
     std::fill(cpu->slots.begin(), cpu->slots.end(), SpanEvent{});
     for (auto& hist : cpu->hist) hist.Reset();
   }
-}
-
-SpanRecorder& GlobalSpans() {
-  static SpanRecorder recorder;
-  return recorder;
 }
 
 }  // namespace kop::trace

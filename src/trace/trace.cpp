@@ -114,7 +114,7 @@ TraceRing::Lane& TraceRing::AddLane(uint32_t cpu) {
 }
 
 void TraceRing::Append(TraceRecord record) {
-  const uint32_t cpu = smp::CurrentCpu();
+  const uint32_t cpu = record.cpu;
   Lane& lane = MyLane(cpu);
   std::lock_guard<Spinlock> guard(lane.lock);
   record.seq = MakeSeq(cpu, lane.count);
@@ -189,9 +189,12 @@ void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
                     uint64_t a3) {
   if (!enabled()) return;
   TraceRecord record;
+  const uint32_t cpu = smp::CurrentCpu();
   const sim::VirtualClock* clock = clock_.load(std::memory_order_acquire);
-  record.tsc = clock != nullptr ? clock->ReadTsc() : 0;
-  record.cpu = static_cast<uint16_t>(smp::CurrentCpu());
+  // CpuCycles(cpu) truncated is ReadTsc() without a second CPU-id read.
+  record.tsc =
+      clock != nullptr ? static_cast<uint64_t>(clock->CpuCycles(cpu)) : 0;
+  record.cpu = static_cast<uint16_t>(cpu);
   record.event = event;
   record.args[0] = a0;
   record.args[1] = a1;
@@ -201,10 +204,5 @@ void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
 }
 
 void Tracer::Reset() { ring_.Clear(); }
-
-Tracer& GlobalTracer() {
-  static Tracer tracer;
-  return tracer;
-}
 
 }  // namespace kop::trace

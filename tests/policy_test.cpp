@@ -3,9 +3,11 @@
 // surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/policy/engine.hpp"
@@ -180,6 +182,77 @@ TEST_F(RegionTable64Test, LookupDepthCountsScannedEntries) {
   EXPECT_DOUBLE_EQ(depth->sum() - before, 11.0);
   EXPECT_FALSE(engine_.Guard(0x20000, 4, kGuardAccessRead));  // miss: all 10
   EXPECT_DOUBLE_EQ(depth->sum() - before, 21.0);
+}
+
+/// The published frame's piece index against its own regions: starts
+/// sorted, unique, from 0, holding every region edge; every piece wholly
+/// inside or outside each region; first[i] the naive first match for the
+/// piece's start.
+void ExpectIndexMatchesFrame(const PolicyEngine& engine) {
+  const PieceIndex index = engine.FrameIndex();
+  const std::vector<Region> regions = engine.FrameSnapshot();
+  ASSERT_FALSE(index.starts.empty());
+  EXPECT_EQ(index.starts.front(), 0u);
+  for (size_t i = 1; i < index.starts.size(); ++i) {
+    EXPECT_LT(index.starts[i - 1], index.starts[i]) << i;
+  }
+  ASSERT_EQ(index.first.size(), index.starts.size());
+  const auto has_start = [&index](uint64_t edge) {
+    return std::binary_search(index.starts.begin(), index.starts.end(), edge);
+  };
+  for (const Region& region : regions) {
+    EXPECT_TRUE(has_start(region.base)) << region.ToString();
+    EXPECT_TRUE(has_start(region.base + region.len)) << region.ToString();
+  }
+  for (size_t i = 0; i < index.starts.size(); ++i) {
+    const uint64_t lo = index.starts[i];
+    const uint64_t last = i + 1 < index.starts.size()
+                              ? index.starts[i + 1] - 1
+                              : ~uint64_t{0};
+    size_t naive = regions.size();
+    for (size_t r = 0; r < regions.size(); ++r) {
+      EXPECT_EQ(regions[r].Contains(lo, 1), regions[r].Contains(last, 1))
+          << "piece " << i << " straddles " << regions[r].ToString();
+      if (naive == regions.size() && regions[r].Contains(lo, 1)) naive = r;
+    }
+    EXPECT_EQ(index.first[i], naive) << "piece " << i;
+  }
+}
+
+TEST_F(RegionTable64Test, FrameIndexTracksEveryMutation) {
+  {
+    SCOPED_TRACE("empty");
+    ExpectIndexMatchesFrame(engine_);
+  }
+  ASSERT_TRUE(table().Add(Region{0, 0x2000, kProtRead}).ok());
+  ASSERT_TRUE(table().Add(Region{0x1000, 0x2000, kProtRW}).ok());  // overlap
+  ASSERT_TRUE(table().Add(Region{0x3000, 0x1000, kProtWrite}).ok());  // adjacent
+  ASSERT_TRUE(table().Add(Region{~uint64_t{0} - 0x1000, 0x1000, kProtRW}).ok());
+  ASSERT_TRUE(table().Add(Region{0x800, 0x100, kProtRW}).ok());  // shadowed
+  {
+    SCOPED_TRACE("after Add");
+    ExpectIndexMatchesFrame(engine_);
+  }
+  ASSERT_TRUE(table().Remove(0).ok());
+  {
+    SCOPED_TRACE("after Remove");
+    ExpectIndexMatchesFrame(engine_);
+  }
+  Xoshiro256 rng(64);
+  while (table().Size() < RegionTable64::kMaxRegions) {
+    (void)table().Add(Region{rng.NextBelow(64) * 0x400,
+                             1 + rng.NextBelow(0x4000), kProtRW});
+  }
+  {
+    SCOPED_TRACE("64 entries");
+    ExpectIndexMatchesFrame(engine_);
+  }
+  table().Clear();
+  {
+    SCOPED_TRACE("after Clear");
+    ExpectIndexMatchesFrame(engine_);
+    EXPECT_EQ(engine_.FrameIndex().starts, std::vector<uint64_t>{0});
+  }
 }
 
 TEST_F(RegionTable64Test, GenerationMovesOnSuccessfulMutationsOnly) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "kop/e1000e/driver.hpp"
 #include "kop/kernel/kernel.hpp"
@@ -13,11 +14,13 @@
 #include "kop/kirmods/corpus.hpp"
 #include "kop/net/packet_gun.hpp"
 #include "kop/nic/e1000_device.hpp"
+#include "kop/policy/engine.hpp"
 #include "kop/policy/policy_module.hpp"
 #include "kop/policy/region_table.hpp"
 #include "kop/policy/rules.hpp"
 #include "kop/signing/sha256.hpp"
 #include "kop/signing/signer.hpp"
+#include "kop/trace/metrics.hpp"
 #include "kop/transform/compiler.hpp"
 #include "kop/util/rng.hpp"
 
@@ -180,34 +183,95 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
   // Drive the engine's table and a naive first-match reference model
   // through the same random add/remove/mode/check sequence. Regions are
   // random and overlap freely (the table represents overlaps; the first
-  // insertion wins), so every check exercises first-match order.
+  // insertion wins), so every check exercises first-match order. Each
+  // check compares the verdict and the lookup depth (the 1-based position
+  // of the first match, the region count on a miss — what a linear scan
+  // from entry 0 examines) through Check, through Guard (depth read as
+  // the policy.lookup_depth sum delta) and through a pinned FastGuard.
+  // Regions sit at address 0, in a dense low window and against the top
+  // of the address space; probes hit region edges, straddle them, wrap
+  // past 2^64 and include size 0.
+  constexpr uint64_t kTop = ~uint64_t{0};
   Xoshiro256 rng(2024);
   kernel::Kernel kernel;
   policy::PolicyEngine engine(&kernel, nullptr);
+  engine.SetViolationAction(policy::ViolationAction::kLogOnly);
+  trace::Log2Histogram* depth_hist =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
   std::vector<policy::Region> reference;  // insertion order
   bool default_allow = false;
+  size_t max_size = 0;
+  int at_zero = 0;       // accepted regions with base 0
+  int below_top = 0;     // accepted regions ending at 2^64 - 1
+  int refused_top = 0;   // refused regions ending exactly at 2^64
 
-  auto reference_allows = [&](uint64_t addr, uint64_t size, uint64_t flags) {
-    for (const policy::Region& region : reference) {
-      if (region.Contains(addr, size)) return region.Allows(flags);
+  // Verdict and depth of a linear first-match scan from entry 0.
+  auto reference_decide = [&](uint64_t addr, uint64_t size, uint64_t flags,
+                              uint64_t* depth) {
+    for (size_t i = 0; i < reference.size(); ++i) {
+      if (reference[i].Contains(addr, size)) {
+        *depth = i + 1;
+        return reference[i].Allows(flags);
+      }
     }
+    *depth = reference.size();
     return default_allow;
   };
+  auto random_region = [&]() {
+    const uint32_t prot = static_cast<uint32_t>(rng.NextBelow(4));
+    switch (rng.NextBelow(8)) {
+      case 0:  // at address 0
+        return policy::Region{0, 1 + rng.NextBelow(0x3000), prot};
+      case 1: {  // ending at 2^64 - 1 (the highest end the table takes)
+                 // or exactly at 2^64
+        const uint64_t len = 1 + rng.NextBelow(0x3000);
+        const uint64_t base = kTop - len + rng.NextBelow(2);
+        return policy::Region{base, len, prot};
+      }
+      default:
+        return policy::Region{0x40000 + rng.NextBelow(48) * 0x400,
+                              0x100 + rng.NextBelow(0x2000), prot};
+    }
+  };
+  auto random_access = [&](uint64_t* addr, uint64_t* size) {
+    *size = rng.NextBelow(8) == 0 ? 0 : 1 + rng.NextBelow(64);
+    const uint64_t kind = rng.NextBelow(4);
+    if (kind == 0 && !reference.empty()) {
+      // Around an edge of a live region: starts before it, at it, or
+      // straddles its end.
+      const policy::Region& r = reference[rng.NextBelow(reference.size())];
+      const uint64_t edge = rng.NextBelow(2) == 0 ? r.base : r.base + r.len;
+      *addr = edge - rng.NextBelow(*size + 2) + rng.NextBelow(2);
+    } else if (kind == 1) {
+      *addr = kTop - rng.NextBelow(0x3100);  // may wrap past 2^64
+    } else if (kind == 2) {
+      *addr = rng.NextBelow(0x3100);
+    } else {
+      *addr = 0x3f000 + rng.NextBelow(0x16000);
+    }
+  };
 
-  for (int step = 0; step < 6000; ++step) {
+  for (int step = 0; step < 8000; ++step) {
     const uint64_t action = rng.NextBelow(16);
     if (action < 3) {
-      const policy::Region region{0x40000 + rng.NextBelow(48) * 0x400,
-                                  0x100 + rng.NextBelow(0x2000),
-                                  static_cast<uint32_t>(rng.NextBelow(4))};
+      const policy::Region region = random_region();
       const bool duplicate =
           std::any_of(reference.begin(), reference.end(),
                       [&](const policy::Region& r) {
                         return r.base == region.base && r.len == region.len;
                       });
+      // The table refuses a region ending exactly at 2^64 (its end wraps
+      // to 0); the index never sees one.
+      const bool wraps = region.base + region.len < region.base;
       const bool fits = reference.size() < policy::RegionTable64::kMaxRegions;
-      EXPECT_EQ(engine.store().Add(region).ok(), fits && !duplicate) << step;
-      if (fits && !duplicate) reference.push_back(region);
+      const bool accepted = fits && !duplicate && !wraps;
+      EXPECT_EQ(engine.store().Add(region).ok(), accepted) << step;
+      if (accepted) {
+        reference.push_back(region);
+        if (region.base == 0) ++at_zero;
+        if (region.base + region.len == kTop) ++below_top;
+      }
+      if (wraps) ++refused_top;
     } else if (action < 5 && !reference.empty()) {
       // Remove drops the first region with that base.
       const uint64_t base =
@@ -221,16 +285,34 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
       engine.SetMode(default_allow ? policy::PolicyMode::kDefaultAllow
                                    : policy::PolicyMode::kDefaultDeny);
     } else {
-      const uint64_t addr = 0x3f000 + rng.NextBelow(0x16000);
-      const uint64_t size = 1 + rng.NextBelow(64);
+      uint64_t addr = 0;
+      uint64_t size = 0;
+      random_access(&addr, &size);
       const uint64_t flags = 1 + rng.NextBelow(3);
-      EXPECT_EQ(engine.Check(addr, size, flags),
-                reference_allows(addr, size, flags))
-          << "step " << step << " addr=0x" << std::hex << addr
-          << " size=" << std::dec << size << " flags=" << flags;
+      uint64_t want_depth = 0;
+      const bool want = reference_decide(addr, size, flags, &want_depth);
+      const std::string where = "step " + std::to_string(step) +
+                                " addr=" + std::to_string(addr) +
+                                " size=" + std::to_string(size) +
+                                " flags=" + std::to_string(flags);
+      EXPECT_EQ(engine.Check(addr, size, flags), want) << where;
+      const double before = depth_hist->sum();
+      EXPECT_EQ(engine.Guard(addr, size, flags), want) << where;
+      EXPECT_EQ(depth_hist->sum() - before, static_cast<double>(want_depth))
+          << where;
+      // A freshly pinned frame is current, so the inline guard allows
+      // exactly what the reference allows and deopts on everything else.
+      engine.PinFrame();
+      EXPECT_EQ(engine.FastGuard(addr, size, flags, 0), want) << where;
+      engine.UnpinFrame();
     }
+    max_size = std::max(max_size, reference.size());
   }
   ASSERT_EQ(engine.store().Size(), reference.size());
+  EXPECT_EQ(max_size, policy::RegionTable64::kMaxRegions);
+  EXPECT_GT(at_zero, 0);
+  EXPECT_GT(below_top, 0);
+  EXPECT_GT(refused_top, 0);
 }
 
 // -------------------------------------------------- kmalloc invariants --
