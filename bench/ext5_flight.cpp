@@ -137,7 +137,7 @@ Measurement Measure(std::vector<CpuRig>& rigs, uint32_t cpus, uint64_t sends) {
 // The documented bundle schema, as `kopcc postmortem --check-schema`
 // pins it (DESIGN.md §14).
 const char* const kSchemaKeys[] = {
-    "\"schema\":\"kop.flight.postmortem/v1\"",
+    "\"schema\":\"kop.flight.postmortem/v2\"",
     "\"module\":",
     "\"engine\":",
     "\"reason\":",

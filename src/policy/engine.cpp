@@ -51,17 +51,19 @@ PieceIndex IndexPieces(const std::vector<Region>& regions) {
 }
 
 /// Run an inline decision inside a guard-decision span. Hand-rolled (vs
-/// KOP_SPAN) to use the pinned recorder pointer: a disabled recorder
-/// costs one relaxed load, no out-of-line call.
+/// KOP_SPAN) to use the pin's recorder and lane: a disabled recorder
+/// costs one relaxed load, and an enabled one appends to the lane the pin
+/// resolved without a per-guard lane lookup.
 template <typename Decision>
 bool InSpan([[maybe_unused]] trace::SpanRecorder* spans,
+            [[maybe_unused]] trace::TraceRing::Lane* lane,
             [[maybe_unused]] uint64_t arg, Decision decide) {
 #if KOP_SPANS_ENABLED
   const bool span_active = spans->enabled();
   const uint64_t span_begin = span_active ? spans->BeginSpan() : 0;
   const bool allowed = decide();
   if (span_active) {
-    spans->EndSpan(trace::SpanKind::kGuardDecision, span_begin, arg);
+    spans->EndSpan(*lane, trace::SpanKind::kGuardDecision, span_begin, arg);
   }
   return allowed;
 #else
@@ -231,7 +233,7 @@ void PolicyEngine::RecordViolation(const ViolationRecord& record) {
   violations_.push(record);
 }
 
-void PolicyEngine::ChargeGuard(const PolicyFrame& frame) {
+inline void PolicyEngine::ChargeGuard(const PolicyFrame& frame) {
   const double guard_cycles = kernel_->machine().GuardCycles(
       static_cast<uint32_t>(frame.regions.size()));
   if (charge_cycles_.load(std::memory_order_relaxed)) {
@@ -280,6 +282,7 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
   KOP_SPAN(kGuardDecision, addr);
   const uint64_t site = trace::CurrentGuardSite();
   bool allowed;
+  uint64_t depth = 0;
   {
     smp::RcuDomain::ReadGuard rcu(rcu_);
     const PolicyFrame* frame = CurrentFrame();
@@ -287,11 +290,9 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
     my.guard_calls.fetch_add(1, std::memory_order_relaxed);
     ChargeGuard(*frame);
 
-    uint64_t depth = 0;
     allowed = Decide(*frame, addr, size, access_flags,
                      mode() == PolicyMode::kDefaultAllow, &depth);
     lookup_depth_hist_->Observe(static_cast<double>(depth));
-    KOP_TRACE(kPolicyLookup, depth, frame->regions.size());
 
     if (site == force_deny_site_.load(std::memory_order_relaxed))
         [[unlikely]] {
@@ -317,7 +318,8 @@ bool PolicyEngine::GuardRange(uint64_t addr, uint64_t size,
                                       FoldGuardCalls(), false, site, false});
     }
   }
-  KOP_TRACE(kGuardCheck, addr, size, access_flags, site);
+  KOP_TRACE(kGuardCheck, addr, size, access_flags, site,
+            static_cast<uint32_t>(depth));
   if (allowed) return true;
   return Violation(addr, size, access_flags, site, /*cfi=*/false);
 }
@@ -383,6 +385,7 @@ bool PolicyEngine::PinFrame() {
     pin.sites = &site_shards_.Mine();
     pin.clock_cell = &kernel_->clock().MyCell();
     pin.spans = &trace::GlobalSpans();
+    pin.lane = &pin.spans->ring().MyLane();
     RefreshPin(pin);
   }
   return true;
@@ -460,7 +463,7 @@ bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
   }
   // The flight recorder sees inline decisions too: the span opens after
   // the deopt checks, so a deopted guard is recorded once, by GuardRange().
-  const bool allowed = InSpan(pin->spans, addr, [&] {
+  const bool allowed = InSpan(pin->spans, pin->lane, addr, [&] {
     uint64_t depth = 0;
     return Decide(*pin->frame, addr, size, access_flags, pin->default_allow,
                   &depth);
@@ -486,7 +489,7 @@ bool PolicyEngine::FastCfiCheck(uint64_t target, uint64_t set_id,
   if (pin == nullptr) [[unlikely]] {
     return false;
   }
-  const bool allowed = InSpan(pin->spans, target, [&] {
+  const bool allowed = InSpan(pin->spans, pin->lane, target, [&] {
     return CfiAllows(*pin->frame, target, set_id);
   });
   if (!allowed) [[unlikely]] {

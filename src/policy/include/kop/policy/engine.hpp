@@ -349,10 +349,12 @@ class PolicyEngine : public kernel::GuardFastOps {
     // This CPU's clock accumulator, resolved once at pin time so inline
     // guards charge cycles with one load+store instead of a slot lookup.
     std::atomic<double>* clock_cell = nullptr;
-    // The global span recorder, cached so the fast path's guard-decision
-    // span costs one relaxed enabled-load instead of a GlobalSpans()
-    // static-init check per guard.
+    // The global span recorder and the pinning thread's lane in it,
+    // cached so the fast path's guard-decision span costs one relaxed
+    // enabled-load and no GlobalSpans() static-init check or lane lookup
+    // per guard.
     trace::SpanRecorder* spans = nullptr;
+    trace::TraceRing::Lane* lane = nullptr;
     // Elision credits accumulated over the pinned call and flushed to the
     // global guard.elided counter at unpin: one fetch_add per call instead
     // of one per covering guard. Per-CPU stats stay exact per cover.
@@ -393,7 +395,9 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// Slow-path cost model shared by memory and CFI guards: the machine
   /// model's guard cycles for the frame's region count, charged to the
   /// virtual clock (unless disabled) and the latency histogram.
-  void ChargeGuard(const PolicyFrame& frame);
+  /// Always inlined: with the guard's record and span inline too, GCC's
+  /// budget would otherwise leave it an out-of-line call per slow guard.
+  [[gnu::always_inline]] void ChargeGuard(const PolicyFrame& frame);
   /// A denied slow-path decision: deny trace, counter, printk, then the
   /// violation action (panic throws KernelPanic, quarantine throws
   /// GuardViolation). Returns false under kLogOnly.

@@ -62,6 +62,10 @@ std::string ExportChromeTrace(const std::vector<TraceRecord>& records,
                     arg_names[i], record.args[i]);
       out += buf;
     }
+    if (const char* aux = EventAuxName(record.event)) {
+      std::snprintf(buf, sizeof(buf), ",\"%s\":%u", aux, record.aux);
+      out += buf;
+    }
     out += "}}";
   }
   for (const SpanEvent& span : spans) {
@@ -89,17 +93,17 @@ std::string ExportChromeTrace(const Tracer& tracer,
 }
 
 std::string ExportTraceCsv(const std::vector<TraceRecord>& records) {
-  std::string out = "seq,tsc,event,category,arg0,arg1,arg2,arg3\n";
-  char buf[192];
+  std::string out = "seq,tsc,event,category,arg0,arg1,arg2,arg3,aux\n";
+  char buf[224];
   for (const TraceRecord& record : records) {
     std::snprintf(buf, sizeof(buf),
-                  "%" PRIu64 ",%" PRIu64
-                  ",%s,%s,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
+                  "%" PRIu64 ",%" PRIu64 ",%s,%s,%" PRIu64 ",%" PRIu64
+                  ",%" PRIu64 ",%" PRIu64 ",%u\n",
                   record.seq, record.tsc,
                   std::string(EventName(record.event)).c_str(),
                   std::string(EventCategory(record.event)).c_str(),
                   record.args[0], record.args[1], record.args[2],
-                  record.args[3]);
+                  record.args[3], record.aux);
     out += buf;
   }
   return out;

@@ -19,7 +19,8 @@ struct ChromeTraceOptions {
 };
 
 /// Records as Chrome trace-event JSON: one instant event per record,
-/// categorized by subsystem, args named per event, with `tid` carrying
+/// categorized by subsystem, args named per event (plus the aux word
+/// under its name, e.g. guard.check's `depth`), with `tid` carrying
 /// the simulated CPU the tracepoint fired on. Timestamps are
 /// virtual-cycle counts scaled to microseconds; addresses render as hex
 /// strings so 64-bit values survive JSON number precision. Pass the
@@ -38,7 +39,7 @@ std::string ExportChromeTrace(const std::vector<TraceRecord>& records,
 std::string ExportChromeTrace(const Tracer& tracer,
                               const ChromeTraceOptions& options = {});
 
-/// "seq,tsc,event,category,arg0..arg3" rows.
+/// "seq,tsc,event,category,arg0..arg3,aux" rows.
 std::string ExportTraceCsv(const std::vector<TraceRecord>& records);
 
 }  // namespace kop::trace

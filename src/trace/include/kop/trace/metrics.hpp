@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -73,7 +74,22 @@ using HistogramBuckets = std::array<uint64_t, kHistogramBuckets>;
 /// structures embed one per CPU and fold them on read.
 class HistogramCell {
  public:
-  void Observe(double value);
+  /// Bucket edges are powers of two, so for v in [1, 2^62) the bucket is
+  /// bit_width(floor(v)) — no libm on the guard hot path. Anything at or
+  /// above 2^62 lands in the clamp bucket either way. Inline: every slow
+  /// guard observes twice, and every span once more.
+  void Observe(double value) {
+    size_t bucket = 0;
+    if (value >= 1.0) {
+      bucket = value >= 0x1p62
+                   ? kHistogramBuckets - 1
+                   : static_cast<size_t>(
+                         std::bit_width(static_cast<uint64_t>(value)));
+    }
+    smp::BumpOwned(buckets_[bucket]);
+    sum_.store(sum_.load(std::memory_order_relaxed) + value,
+               std::memory_order_relaxed);
+  }
 
   uint64_t bucket(size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);

@@ -55,8 +55,16 @@ class SiteRegistry {
 
 SiteRegistry& GlobalSites();
 
-/// The guard-site context for the (single) simulated CPU.
-uint64_t CurrentGuardSite();
+namespace detail {
+/// Per-thread: each simulated CPU runs on its own host thread, and a
+/// guard site is an attribute of the call executing on THAT cpu. Written
+/// only by ScopedGuardSite.
+extern constinit thread_local uint64_t t_current_site;
+}  // namespace detail
+
+/// The guard-site context of the calling thread. Inline: every slow-path
+/// guard reads it.
+inline uint64_t CurrentGuardSite() { return detail::t_current_site; }
 
 /// RAII pin of the current guard site around a call into the guard.
 class ScopedGuardSite {

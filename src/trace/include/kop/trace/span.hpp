@@ -1,13 +1,15 @@
 // kop::trace spans — nested RAII latency scopes over the virtual clock,
 // the flight-recorder half of the observability stack. A `KOP_SPAN`
-// scope stamps its begin/end on the per-CPU virtual clock and records a
-// fixed-size SpanEvent into an always-on per-CPU last-N ring (the
-// "flight recorder": it survives containment, so the moments before a
-// quarantine are always available to a postmortem bundle). Every span
-// also feeds a per-CPU per-kind Log2Histogram, folded exactly on read
-// for interpolated p50/p90/p99/p999 queries. Like tracepoints, spans
-// never charge simulated cycles, and the whole layer compiles out when
-// the build sets KOP_SPANS_ENABLED=0.
+// scope stamps its begin/end on the per-CPU virtual clock and, when it
+// closes, appends one record (begin tsc, duration, kind, depth, arg) to
+// the calling thread's lane of the tracer's ring: the same single-writer
+// lane its tracepoints go to, so a span costs no lock either. The ring
+// is the always-on last-N "flight recorder": it survives containment, so
+// the moments before a quarantine are always available to a postmortem
+// bundle. Every span also feeds a per-CPU per-kind HistogramCell, folded
+// exactly on read for interpolated p50/p90/p99/p999 queries. Like
+// tracepoints, spans never charge simulated cycles, and the whole layer
+// compiles out when the build sets KOP_SPANS_ENABLED=0.
 #pragma once
 
 #include <array>
@@ -20,7 +22,7 @@
 
 #include "kop/smp/cpu.hpp"
 #include "kop/trace/metrics.hpp"
-#include "kop/util/spinlock.hpp"
+#include "kop/trace/trace.hpp"
 
 namespace kop::trace {
 
@@ -44,10 +46,11 @@ inline constexpr size_t kSpanKindCount =
 /// Stable wire name, e.g. "span.guard_decision".
 std::string_view SpanKindName(SpanKind kind);
 
-/// One completed span. `begin_tsc`/`end_tsc` are virtual cycles on the
-/// recording CPU's clock; `depth` is the span-nesting depth at begin
-/// (module call = 0); `seq` is the recording CPU's completion ordinal
-/// tagged with the CPU, like TraceRecord::seq (see MakeSeq).
+/// One completed span, decoded from its lane record. `begin_tsc`/
+/// `end_tsc` are virtual cycles on the recording CPU's clock; `depth` is
+/// the thread's span-nesting depth at begin (module call = 0); `seq` is
+/// the lane's record ordinal tagged with the lane, like TraceRecord::seq
+/// (see MakeSeq).
 struct SpanEvent {
   uint64_t begin_tsc = 0;
   uint64_t end_tsc = 0;
@@ -71,15 +74,23 @@ struct SpanStats {
   double p999 = 0.0;
 };
 
-/// Per-CPU span rings plus per-CPU per-kind duration histograms. The
-/// write path touches only the recording CPU's cache-line-padded slot
-/// (one spinlock that is never contended when CPUs stay on their own
-/// ring), including the seq, which comes from that slot's own count;
-/// all cross-CPU folding happens on the read side.
+namespace detail {
+/// Spans the calling thread has open (BeginSpan without EndSpan yet).
+extern constinit thread_local uint16_t t_span_depth;
+}  // namespace detail
+
+/// Spans as records in a TraceRing's per-thread lanes, plus per-CPU
+/// per-kind duration histograms. The write path touches only the calling
+/// thread's lane and its CPU's histogram cells; all folding happens on
+/// the read side. GlobalSpans() writes into the global tracer's ring, so
+/// its spans and tracepoints share lanes and budget.
 class SpanRecorder {
  public:
-  /// `per_cpu_capacity` rounded up to a power of two (min 64).
-  explicit SpanRecorder(size_t per_cpu_capacity = 256);
+  /// A recorder with a ring of its own, `capacity` records (rounded up to
+  /// a power of two, min 64).
+  explicit SpanRecorder(size_t capacity = 256);
+  /// A recorder writing into `ring`'s lanes.
+  explicit SpanRecorder(TraceRing& ring);
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
@@ -88,29 +99,38 @@ class SpanRecorder {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Open a span on the current CPU: bumps the nesting depth and returns
-  /// the begin timestamp (virtual cycles; 0 with no clock registered).
-  uint64_t BeginSpan();
+  TraceRing& ring() { return *ring_; }
 
-  /// Close a span opened by BeginSpan on the same CPU.
-  void EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg);
+  /// Open a span on the calling thread: bumps its nesting depth and
+  /// returns the begin timestamp (virtual cycles; 0 with no clock).
+  uint64_t BeginSpan() {
+    ++detail::t_span_depth;
+    return NowTsc(smp::CurrentCpu());
+  }
 
-  /// All retained spans merged across CPUs, ordered by (begin_tsc, seq).
+  /// Close a span opened by BeginSpan on the same thread.
+  void EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
+    EndSpan(ring_->MyLane(), kind, begin_tsc, arg);
+  }
+  /// The same, into `lane`, which must be ring().MyLane() (callers that
+  /// close many spans resolve it once).
+  void EndSpan(TraceRing::Lane& lane, SpanKind kind, uint64_t begin_tsc,
+               uint64_t arg);
+
+  /// All retained spans merged across lanes, ordered by (begin_tsc, seq).
   std::vector<SpanEvent> Snapshot() const;
 
-  /// The newest `n` spans recorded on `cpu`, oldest first — the flight-
-  /// recorder tail a postmortem bundle embeds.
+  /// The newest `n` spans recorded on `cpu`, oldest first: the flight-
+  /// recorder tail a postmortem bundle embeds. Lanes merge by end time,
+  /// each keeping its own completion order.
   std::vector<SpanEvent> Tail(uint32_t cpu, size_t n) const;
 
   /// Fold the per-CPU histograms for `kind` and compute interpolated
   /// percentiles — exact on read, nothing precomputed on the write path.
   SpanStats Stats(SpanKind kind) const;
 
-  /// Lifetime spans recorded on `cpu` for `kind` (0 = all kinds).
-  uint64_t CpuCount(uint32_t cpu, SpanKind kind) const;
-
-  /// Spans recorded on every CPU, folded.
-  uint64_t total_recorded() const;
+  /// Spans recorded on every lane, folded.
+  uint64_t total_recorded() const { return ring_->span_count(); }
 
   /// Human-readable per-kind latency table.
   std::string RenderText() const;
@@ -118,29 +138,49 @@ class SpanRecorder {
   /// Prometheus text exposition of the folded span histograms.
   std::string RenderPrometheus() const;
 
-  /// Drop retained spans, histograms, and depth state (enable kept).
+  /// Drop histograms, the calling thread's depth, and the ring's
+  /// records: for GlobalSpans() that is the global tracer's ring, so its
+  /// tracepoint records go too. Enable kept; NOT safe against concurrent
+  /// writers.
   void Reset();
 
  private:
-  struct alignas(64) Cpu {
-    mutable Spinlock lock;
-    std::vector<SpanEvent> slots;
-    uint64_t count = 0;  // spans recorded on this CPU, ever
-    uint16_t depth = 0;  // currently open spans (write path only)
-    std::array<HistogramCell, kSpanKindCount> hist;
-  };
+  /// `cpu`'s virtual time, truncated the way VirtualClock::ReadTsc reads
+  /// the calling CPU's (the caller has already read its CPU id).
+  static uint64_t NowTsc(uint32_t cpu) {
+    const sim::VirtualClock* clock = GlobalTracer().clock();
+    return clock != nullptr ? static_cast<uint64_t>(clock->CpuCycles(cpu))
+                            : 0;
+  }
 
-  Cpu& ForCpu(uint32_t cpu);
-
-  size_t per_cpu_capacity_;
-  uint64_t mask_;
+  std::unique_ptr<TraceRing> own_ring_;
+  TraceRing* ring_;
   std::atomic<bool> enabled_{true};
-  std::array<std::unique_ptr<Cpu>, smp::kMaxCpus> cpus_;
+  std::array<Log2Histogram, kSpanKindCount> hist_;  // per-CPU cells each
 };
+
+inline void SpanRecorder::EndSpan(TraceRing::Lane& lane, SpanKind kind,
+                                  uint64_t begin_tsc, uint64_t arg) {
+  const uint32_t cpu = smp::CurrentCpu();
+  const uint64_t end_tsc = NowTsc(cpu);
+  if (detail::t_span_depth > 0) --detail::t_span_depth;
+  const uint64_t duration = end_tsc >= begin_tsc ? end_tsc - begin_tsc : 0;
+  TraceRecord record;
+  record.tsc = begin_tsc;
+  record.event = EventId::kSpan;
+  record.cpu = static_cast<uint16_t>(cpu);
+  record.aux = static_cast<uint32_t>(kind) |
+               uint32_t{detail::t_span_depth} << 16;
+  record.args[0] = duration;
+  record.args[1] = arg;
+  ring_->Append(lane, record);
+  const size_t k = static_cast<size_t>(kind);
+  hist_[k < kSpanKindCount ? k : 0].Observe(static_cast<double>(duration));
+}
 
 /// The recorder every KOP_SPAN scope records into.
 inline SpanRecorder& GlobalSpans() {
-  static SpanRecorder recorder;
+  static SpanRecorder recorder(GlobalTracer().ring());
   return recorder;
 }
 

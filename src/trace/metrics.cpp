@@ -1,7 +1,6 @@
 #include "kop/trace/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
@@ -20,22 +19,6 @@ void Counter::Reset() {
   cells_.ForEach([](uint32_t, std::atomic<uint64_t>& cell) {
     cell.store(0, std::memory_order_relaxed);
   });
-}
-
-void HistogramCell::Observe(double value) {
-  // Bucket edges are powers of two, so for v in [1, 2^62) the bucket is
-  // bit_width(floor(v)) — no libm on the guard hot path. Anything at or
-  // above 2^62 lands in the clamp bucket either way.
-  size_t bucket = 0;
-  if (value >= 1.0) {
-    bucket = value >= 0x1p62
-                 ? kHistogramBuckets - 1
-                 : static_cast<size_t>(
-                       std::bit_width(static_cast<uint64_t>(value)));
-  }
-  smp::BumpOwned(buckets_[bucket]);
-  sum_.store(sum_.load(std::memory_order_relaxed) + value,
-             std::memory_order_relaxed);
 }
 
 uint64_t HistogramCell::count() const {

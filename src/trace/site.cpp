@@ -4,13 +4,10 @@
 #include <mutex>
 
 namespace kop::trace {
-namespace {
 
-// Per-thread: each simulated CPU runs on its own host thread, and a
-// guard site is an attribute of the call executing on THAT cpu.
-thread_local uint64_t g_current_site = kUnknownSite;
-
-}  // namespace
+namespace detail {
+constinit thread_local uint64_t t_current_site = kUnknownSite;
+}  // namespace detail
 
 std::string SiteInfo::Label() const {
   char buf[160];
@@ -51,12 +48,11 @@ SiteRegistry& GlobalSites() {
   return registry;
 }
 
-uint64_t CurrentGuardSite() { return g_current_site; }
-
-ScopedGuardSite::ScopedGuardSite(uint64_t token) : prev_(g_current_site) {
-  g_current_site = token;
+ScopedGuardSite::ScopedGuardSite(uint64_t token)
+    : prev_(detail::t_current_site) {
+  detail::t_current_site = token;
 }
 
-ScopedGuardSite::~ScopedGuardSite() { g_current_site = prev_; }
+ScopedGuardSite::~ScopedGuardSite() { detail::t_current_site = prev_; }
 
 }  // namespace kop::trace

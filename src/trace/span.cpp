@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
-
-#include "kop/sim/clock.hpp"
-#include "kop/trace/trace.hpp"
 
 namespace kop::trace {
 namespace {
@@ -16,78 +12,50 @@ constexpr const char* kSpanKinds[kSpanKindCount] = {
     "span.napi_poll",     "span.xmit_batch",
 };
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 64;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 size_t Index(SpanKind kind) {
   const size_t i = static_cast<size_t>(kind);
   return i < kSpanKindCount ? i : 0;
 }
 
-/// `cpu`'s virtual time, truncated the way VirtualClock::ReadTsc reads
-/// the calling CPU's (the caller has already read its CPU id).
-uint64_t NowTsc(uint32_t cpu) {
-  const sim::VirtualClock* clock = GlobalTracer().clock();
-  return clock != nullptr ? static_cast<uint64_t>(clock->CpuCycles(cpu)) : 0;
+constexpr uint32_t kAnyCpu = ~0u;
+
+/// `lane`'s span records on `cpu` (every CPU when `cpu` is kAnyCpu),
+/// decoded, in the lane's completion order.
+void DecodeSpans(const std::vector<TraceRecord>& lane, uint32_t cpu,
+                 std::vector<SpanEvent>* out) {
+  for (const TraceRecord& record : lane) {
+    if (record.event != EventId::kSpan) continue;
+    if (cpu != kAnyCpu && record.cpu != cpu) continue;
+    SpanEvent span;
+    span.begin_tsc = record.tsc;
+    span.end_tsc = record.tsc + record.args[0];
+    span.seq = record.seq;
+    span.arg = record.args[1];
+    span.kind = static_cast<SpanKind>(record.aux & 0xff);
+    span.cpu = record.cpu;
+    span.depth = static_cast<uint16_t>(record.aux >> 16);
+    out->push_back(span);
+  }
 }
 
 }  // namespace
 
+namespace detail {
+constinit thread_local uint16_t t_span_depth = 0;
+}  // namespace detail
+
 std::string_view SpanKindName(SpanKind kind) { return kSpanKinds[Index(kind)]; }
 
-SpanRecorder::SpanRecorder(size_t per_cpu_capacity)
-    : per_cpu_capacity_(RoundUpPow2(per_cpu_capacity)),
-      mask_(per_cpu_capacity_ - 1) {
-  for (auto& cpu : cpus_) {
-    cpu = std::make_unique<Cpu>();
-    cpu->slots.resize(per_cpu_capacity_);
-  }
-}
+SpanRecorder::SpanRecorder(size_t capacity)
+    : own_ring_(std::make_unique<TraceRing>(capacity)),
+      ring_(own_ring_.get()) {}
 
-SpanRecorder::Cpu& SpanRecorder::ForCpu(uint32_t cpu) {
-  return *cpus_[cpu < cpus_.size() ? cpu : cpu % cpus_.size()];
-}
-
-uint64_t SpanRecorder::BeginSpan() {
-  const uint32_t id = smp::CurrentCpu();
-  Cpu& cpu = ForCpu(id);
-  {
-    std::lock_guard<Spinlock> guard(cpu.lock);
-    ++cpu.depth;
-  }
-  return NowTsc(id);
-}
-
-void SpanRecorder::EndSpan(SpanKind kind, uint64_t begin_tsc, uint64_t arg) {
-  SpanEvent event;
-  event.begin_tsc = begin_tsc;
-  const uint32_t id = smp::CurrentCpu();
-  event.end_tsc = NowTsc(id);
-  event.arg = arg;
-  event.kind = kind;
-  event.cpu = static_cast<uint16_t>(id);
-  Cpu& cpu = ForCpu(id);
-  std::lock_guard<Spinlock> guard(cpu.lock);
-  event.seq = MakeSeq(event.cpu, cpu.count);
-  if (cpu.depth > 0) --cpu.depth;
-  event.depth = cpu.depth;
-  cpu.slots[cpu.count & mask_] = event;
-  ++cpu.count;
-  cpu.hist[Index(kind)].Observe(static_cast<double>(event.duration()));
-}
+SpanRecorder::SpanRecorder(TraceRing& ring) : ring_(&ring) {}
 
 std::vector<SpanEvent> SpanRecorder::Snapshot() const {
   std::vector<SpanEvent> out;
-  for (const auto& cpu : cpus_) {
-    std::lock_guard<Spinlock> guard(cpu->lock);
-    const uint64_t retained =
-        std::min<uint64_t>(cpu->count, per_cpu_capacity_);
-    for (uint64_t i = cpu->count - retained; i < cpu->count; ++i) {
-      out.push_back(cpu->slots[i & mask_]);
-    }
+  for (const auto& lane : ring_->LaneRecords()) {
+    DecodeSpans(lane, kAnyCpu, &out);
   }
   std::sort(out.begin(), out.end(), [](const SpanEvent& a, const SpanEvent& b) {
     return a.begin_tsc != b.begin_tsc ? a.begin_tsc < b.begin_tsc
@@ -96,47 +64,33 @@ std::vector<SpanEvent> SpanRecorder::Snapshot() const {
   return out;
 }
 
-std::vector<SpanEvent> SpanRecorder::Tail(uint32_t cpu_index, size_t n) const {
+std::vector<SpanEvent> SpanRecorder::Tail(uint32_t cpu, size_t n) const {
   std::vector<SpanEvent> out;
-  if (cpu_index >= cpus_.size()) return out;
-  const Cpu& cpu = *cpus_[cpu_index];
-  std::lock_guard<Spinlock> guard(cpu.lock);
-  uint64_t retained = std::min<uint64_t>(cpu.count, per_cpu_capacity_);
-  retained = std::min<uint64_t>(retained, n);
-  for (uint64_t i = cpu.count - retained; i < cpu.count; ++i) {
-    out.push_back(cpu.slots[i & mask_]);
+  for (const auto& lane : ring_->LaneRecords()) {
+    const auto merged = static_cast<ptrdiff_t>(out.size());
+    DecodeSpans(lane, cpu, &out);
+    std::inplace_merge(out.begin(), out.begin() + merged, out.end(),
+                       [](const SpanEvent& a, const SpanEvent& b) {
+                         return a.end_tsc < b.end_tsc;
+                       });
+  }
+  if (out.size() > n) {
+    out.erase(out.begin(), out.end() - static_cast<ptrdiff_t>(n));
   }
   return out;
 }
 
 SpanStats SpanRecorder::Stats(SpanKind kind) const {
-  HistogramBuckets folded{};
+  const Log2Histogram& hist = hist_[Index(kind)];
+  const HistogramBuckets folded = hist.Buckets();
   SpanStats stats;
-  const size_t k = Index(kind);
-  for (const auto& cpu : cpus_) {
-    cpu->hist[k].FoldInto(folded);
-    stats.sum += cpu->hist[k].sum();
-  }
   for (uint64_t b : folded) stats.count += b;
+  stats.sum = hist.sum();
   stats.p50 = Log2Histogram::PercentileFromBuckets(folded, 50.0);
   stats.p90 = Log2Histogram::PercentileFromBuckets(folded, 90.0);
   stats.p99 = Log2Histogram::PercentileFromBuckets(folded, 99.0);
   stats.p999 = Log2Histogram::PercentileFromBuckets(folded, 99.9);
   return stats;
-}
-
-uint64_t SpanRecorder::total_recorded() const {
-  uint64_t total = 0;
-  for (const auto& cpu : cpus_) {
-    std::lock_guard<Spinlock> guard(cpu->lock);
-    total += cpu->count;
-  }
-  return total;
-}
-
-uint64_t SpanRecorder::CpuCount(uint32_t cpu_index, SpanKind kind) const {
-  if (cpu_index >= cpus_.size()) return 0;
-  return cpus_[cpu_index]->hist[Index(kind)].count();
 }
 
 std::string SpanRecorder::RenderText() const {
@@ -183,13 +137,9 @@ std::string SpanRecorder::RenderPrometheus() const {
 }
 
 void SpanRecorder::Reset() {
-  for (const auto& cpu : cpus_) {
-    std::lock_guard<Spinlock> guard(cpu->lock);
-    cpu->count = 0;
-    cpu->depth = 0;
-    std::fill(cpu->slots.begin(), cpu->slots.end(), SpanEvent{});
-    for (auto& hist : cpu->hist) hist.Reset();
-  }
+  for (Log2Histogram& hist : hist_) hist.Reset();
+  detail::t_span_depth = 0;
+  ring_->Clear();
 }
 
 }  // namespace kop::trace

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
+#include <iterator>
 
 namespace kop::trace {
 namespace {
@@ -18,7 +18,6 @@ constexpr EventDesc kEvents[kEventCount] = {
     {"guard.check", "guard", {"addr", "size", "flags", "site"}},
     {"guard.deny", "guard", {"addr", "size", "flags", "site"}},
     {"guard.intrinsic", "guard", {"intrinsic", "allowed", nullptr, "site"}},
-    {"policy.lookup", "guard", {"scanned", "regions", nullptr, nullptr}},
     {"module.verify", "loader", {"ok", nullptr, nullptr, nullptr}},
     {"module.load", "loader", {"insts", "guards", nullptr, nullptr}},
     {"module.quarantine", "loader", {"addr", "size", "site", nullptr}},
@@ -46,7 +45,85 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
+constexpr size_t kMinLaneSlots = 64;
+
+std::atomic<uint64_t> g_next_ring_id{1};
+
+/// The lanes the calling thread owns; marked free when it exits.
+struct ThreadLanes {
+  std::vector<std::shared_ptr<TraceRing::Lane>> lanes;
+  ~ThreadLanes() {
+    for (const auto& lane : lanes) {
+      lane->owned.store(false, std::memory_order_release);
+    }
+    detail::t_lane_ring = 0;
+    detail::t_lane = nullptr;
+  }
+};
+thread_local ThreadLanes t_lanes;
+
+/// The slots `lane` may hold: its share, but at least one to write into.
+size_t MaxSlots(const TraceRing::Lane& lane) {
+  return std::max<size_t>(lane.limit.load(std::memory_order_relaxed), 1);
+}
+
+/// Resize `lane` to `size` slots, keeping its newest records at their
+/// ordinals' positions. The caller holds the ring lock and is the lane's
+/// writer, or the lane has none.
+void ResizeLane(TraceRing::Lane& lane, size_t size) {
+  if (size == lane.size) return;
+  auto slots = std::make_unique<TraceRing::Lane::Slot[]>(size);
+  const uint64_t count = lane.count.load(std::memory_order_relaxed);
+  for (uint64_t i = count - std::min<uint64_t>({count, lane.size, size});
+       i < count; ++i) {
+    auto& from = lane.slots[i & (lane.size - 1)].words;
+    auto& to = slots[i & (size - 1)].words;
+    for (size_t w = 0; w < from.size(); ++w) {
+      to[w].store(from[w].load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+    }
+  }
+  lane.slots = std::move(slots);
+  lane.size = size;
+}
+
+/// Copy `lane`'s retained records, oldest first. The caller holds the
+/// ring lock.
+void CopyLane(const TraceRing::Lane& lane, std::vector<TraceRecord>* out) {
+  const uint64_t count = lane.count.load(std::memory_order_acquire);
+  uint64_t first = count - std::min<uint64_t>(
+      {count, lane.size, lane.limit.load(std::memory_order_relaxed)});
+  std::vector<TraceRecord> copy;
+  for (uint64_t i = first; i < count; ++i) {
+    const auto& words = lane.slots[i & (lane.size - 1)].words;
+    TraceRecord& record = copy.emplace_back();
+    record.seq = lane.tag | i;
+    record.tsc = words[0].load(std::memory_order_acquire);
+    const uint64_t meta = words[1].load(std::memory_order_acquire);
+    record.event = static_cast<EventId>(meta & 0xffff);
+    record.cpu = static_cast<uint16_t>(meta >> 16);
+    record.aux = static_cast<uint32_t>(meta >> 32);
+    for (size_t a = 0; a < 4; ++a) {
+      record.args[a] = words[2 + a].load(std::memory_order_acquire);
+    }
+  }
+  // The owner may have lapped the copy: the append of ordinal j reuses
+  // the slot of j - size, so once appends below `claimed` have begun only
+  // ordinals from claimed - size on are known intact.
+  const uint64_t claimed = lane.claimed.load(std::memory_order_acquire);
+  if (claimed > lane.size) {
+    first = std::clamp(claimed - lane.size, first, count);
+  }
+  out->insert(out->end(), copy.end() - static_cast<ptrdiff_t>(count - first),
+              copy.end());
+}
+
 }  // namespace
+
+namespace detail {
+constinit thread_local uint64_t t_lane_ring = 0;
+constinit thread_local TraceRing::Lane* t_lane = nullptr;
+}  // namespace detail
 
 std::string_view EventName(EventId id) { return kEvents[Index(id)].name; }
 
@@ -58,118 +135,112 @@ std::array<const char*, 4> EventArgNames(EventId id) {
   return kEvents[Index(id)].args;
 }
 
-struct alignas(64) TraceRing::Lane {
-  mutable Spinlock lock;
-  std::vector<TraceRecord> slots;  // power-of-two length, <= limit
-  size_t limit = 0;                // this lane's share of the budget
-  uint64_t count = 0;              // appends into this lane, ever
-  std::array<uint64_t, kEventCount> events{};
-};
-
-namespace {
-
-constexpr size_t kMinLaneSlots = 64;
-
-/// Shrink `slots` (holding records [0, count) modulo its length) to
-/// `size` slots, keeping the newest records at their modulo positions.
-void TrimSlots(std::vector<TraceRecord>& slots, uint64_t count, size_t size) {
-  std::vector<TraceRecord> kept(size);
-  const uint64_t keep = std::min<uint64_t>(count, size);
-  for (uint64_t i = count - keep; i < count; ++i) {
-    kept[i & (size - 1)] = slots[i & (slots.size() - 1)];
-  }
-  slots = std::move(kept);
+const char* EventAuxName(EventId id) {
+  return id == EventId::kGuardCheck ? "depth" : nullptr;
 }
 
-}  // namespace
+TraceRing::TraceRing(size_t capacity)
+    : id_(g_next_ring_id.fetch_add(1)), capacity_(RoundUpPow2(capacity)) {}
 
-TraceRing::TraceRing(size_t capacity) : capacity_(RoundUpPow2(capacity)) {}
-
-TraceRing::~TraceRing() { Clear(); }
-
-TraceRing::Lane& TraceRing::MyLane(uint32_t cpu) {
-  Lane* lane = lanes_[cpu].load(std::memory_order_acquire);
-  return lane != nullptr ? *lane : AddLane(cpu);
+TraceRing::~TraceRing() {
+  for (const auto& lane : lanes_) lane->slots.reset();
 }
 
-TraceRing::Lane& TraceRing::AddLane(uint32_t cpu) {
-  std::lock_guard<Spinlock> guard(add_lock_);
-  if (Lane* lane = lanes_[cpu].load(std::memory_order_acquire)) return *lane;
-  const size_t share = std::bit_floor(capacity_ / (lane_count_ + 1));
-  for (const auto& slot : lanes_) {
-    Lane* other = slot.load(std::memory_order_relaxed);
-    if (other == nullptr) continue;
-    std::lock_guard<Spinlock> lane_guard(other->lock);
-    other->limit = share;
-    if (other->slots.size() > share) {
-      TrimSlots(other->slots, other->count, share);
+TraceRing::Lane& TraceRing::RegisterLane() {
+  auto mine = std::find_if(
+      t_lanes.lanes.begin(), t_lanes.lanes.end(),
+      [this](const auto& lane) { return lane->ring_id == id_; });
+  std::shared_ptr<Lane> lane = mine != t_lanes.lanes.end() ? *mine : nullptr;
+  if (lane == nullptr) {
+    std::lock_guard<std::mutex> guard(lock_);
+    auto free = std::find_if(lanes_.begin(), lanes_.end(), [](const auto& l) {
+      return !l->owned.load(std::memory_order_acquire);
+    });
+    if (free != lanes_.end()) {
+      lane = *free;
+    } else {
+      lane = lanes_.emplace_back(std::make_shared<Lane>());
+      lane->ring_id = id_;
+      lane->tag = MakeSeq(static_cast<uint32_t>(lanes_.size() - 1), 0);
+      Reshare();
+      ResizeLane(*lane, std::min(kMinLaneSlots, MaxSlots(*lane)));
     }
+    lane->owned.store(true, std::memory_order_relaxed);
+    t_lanes.lanes.push_back(lane);
   }
-  auto* lane = new Lane;
-  lane->limit = share;
-  lane->slots.resize(std::min(kMinLaneSlots, share));
-  ++lane_count_;
-  lanes_[cpu].store(lane, std::memory_order_release);
+  detail::t_lane_ring = id_;
+  detail::t_lane = lane.get();
   return *lane;
 }
 
-void TraceRing::Append(TraceRecord record) {
-  const uint32_t cpu = record.cpu;
-  Lane& lane = MyLane(cpu);
-  std::lock_guard<Spinlock> guard(lane.lock);
-  record.seq = MakeSeq(cpu, lane.count);
-  // A lane that has never wrapped grows in place: its records keep their
-  // slots under the wider mask.
-  if (lane.count == lane.slots.size() && lane.slots.size() < lane.limit) {
-    lane.slots.resize(lane.slots.size() * 2);
+void TraceRing::Resize(Lane& lane) {
+  std::lock_guard<std::mutex> guard(lock_);
+  const size_t limit = MaxSlots(lane);
+  ResizeLane(lane, lane.size > limit ? limit
+                                     : std::min(limit, lane.size * 2));
+}
+
+void TraceRing::Reshare() {
+  // A share that rounds to zero retains nothing (MaxSlots still gives
+  // the lane one slot to write into). Owned lanes trim themselves.
+  const size_t share = std::bit_floor(capacity_ / lanes_.size());
+  for (const auto& lane : lanes_) {
+    lane->limit.store(share, std::memory_order_relaxed);
+    if (!lane->owned.load(std::memory_order_acquire)) {
+      ResizeLane(*lane, std::min(lane->size, MaxSlots(*lane)));
+    }
   }
-  lane.slots[lane.count & (lane.slots.size() - 1)] = record;
-  ++lane.count;
-  ++lane.events[Index(record.event)];
 }
 
 template <typename Fn>
-void TraceRing::ForEachLane(Fn&& fn) const {
-  for (const auto& slot : lanes_) {
-    const Lane* lane = slot.load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    std::lock_guard<Spinlock> guard(lane->lock);
-    fn(*lane);
-  }
+uint64_t TraceRing::Fold(Fn fn) const {
+  std::lock_guard<std::mutex> guard(lock_);
+  uint64_t total = 0;
+  for (const auto& lane : lanes_) total += fn(*lane);
+  return total;
 }
 
 uint64_t TraceRing::total_appended() const {
-  uint64_t total = 0;
-  ForEachLane([&total](const Lane& lane) { total += lane.count; });
-  return total;
-}
-
-uint64_t TraceRing::dropped() const {
-  uint64_t dropped = 0;
-  ForEachLane([&dropped](const Lane& lane) {
-    if (lane.count > lane.slots.size()) {
-      dropped += lane.count - lane.slots.size();
-    }
+  return Fold([](const Lane& lane) {
+    uint64_t n = 0;
+    for (const auto& e : lane.events) n += e.load(std::memory_order_relaxed);
+    return n;
   });
-  return dropped;
 }
 
 uint64_t TraceRing::event_count(EventId id) const {
-  uint64_t total = 0;
-  ForEachLane(
-      [&total, id](const Lane& lane) { total += lane.events[Index(id)]; });
-  return total;
+  return Fold([i = Index(id)](const Lane& lane) {
+    return lane.events[i].load(std::memory_order_relaxed);
+  });
+}
+
+uint64_t TraceRing::span_count() const {
+  return Fold([](const Lane& lane) {
+    return lane.spans.load(std::memory_order_relaxed);
+  });
+}
+
+size_t TraceRing::lane_count() const {
+  return Fold([](const Lane&) { return 1; });
+}
+
+uint64_t TraceRing::dropped() const {
+  return total_appended() - Snapshot().size();
+}
+
+std::vector<std::vector<TraceRecord>> TraceRing::LaneRecords() const {
+  std::lock_guard<std::mutex> guard(lock_);
+  std::vector<std::vector<TraceRecord>> out(lanes_.size());
+  for (size_t i = 0; i < lanes_.size(); ++i) CopyLane(*lanes_[i], &out[i]);
+  return out;
 }
 
 std::vector<TraceRecord> TraceRing::Snapshot() const {
   std::vector<TraceRecord> out;
-  ForEachLane([&out](const Lane& lane) {
-    const uint64_t mask = lane.slots.size() - 1;
-    const uint64_t retained = std::min<uint64_t>(lane.count, lane.slots.size());
-    for (uint64_t i = lane.count - retained; i < lane.count; ++i) {
-      out.push_back(lane.slots[i & mask]);
-    }
-  });
+  for (const auto& lane : LaneRecords()) {
+    std::copy_if(lane.begin(), lane.end(), std::back_inserter(out),
+                 [](const TraceRecord& r) { return r.event != EventId::kSpan; });
+  }
   std::sort(out.begin(), out.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
               return a.tsc != b.tsc ? a.tsc < b.tsc : a.seq < b.seq;
@@ -178,15 +249,25 @@ std::vector<TraceRecord> TraceRing::Snapshot() const {
 }
 
 void TraceRing::Clear() {
-  std::lock_guard<Spinlock> guard(add_lock_);
-  for (auto& slot : lanes_) {
-    delete slot.exchange(nullptr, std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> guard(lock_);
+  std::erase_if(lanes_, [](const auto& lane) { return !lane->owned; });
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    Lane& lane = *lanes_[i];
+    lane.tag = MakeSeq(static_cast<uint32_t>(i), 0);
+    lane.count = lane.claimed = lane.spans = 0;
+    for (auto& n : lane.events) n = 0;
+    lane.slots.reset();
+    lane.size = 0;
   }
-  lane_count_ = 0;
+  if (lanes_.empty()) return;
+  Reshare();
+  for (const auto& lane : lanes_) {
+    ResizeLane(*lane, std::min(kMinLaneSlots, MaxSlots(*lane)));
+  }
 }
 
 void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
-                    uint64_t a3) {
+                    uint64_t a3, uint32_t aux) {
   if (!enabled()) return;
   TraceRecord record;
   const uint32_t cpu = smp::CurrentCpu();
@@ -196,6 +277,7 @@ void Tracer::Record(EventId event, uint64_t a0, uint64_t a1, uint64_t a2,
       clock != nullptr ? static_cast<uint64_t>(clock->CpuCycles(cpu)) : 0;
   record.cpu = static_cast<uint16_t>(cpu);
   record.event = event;
+  record.aux = aux;
   record.args[0] = a0;
   record.args[1] = a1;
   record.args[2] = a2;

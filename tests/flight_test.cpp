@@ -307,7 +307,7 @@ TEST(ChromeTraceSmpTest, FourCpuExportMergesMonotonicallyWithTid) {
 // ----------------------------------------------- postmortem bundles --
 
 const char* const kSchemaKeys[] = {
-    "\"schema\":\"kop.flight.postmortem/v1\"", "\"module\":",
+    "\"schema\":\"kop.flight.postmortem/v2\"", "\"module\":",
     "\"engine\":", "\"reason\":", "\"what\":", "\"recovery\":", "\"cpu\":",
     "\"tsc\":", "\"violation\":", "\"vm\":", "\"journal\":{", "\"heap\":{",
     "\"restarts\":{", "\"policy\":", "\"heatmap\":[", "\"trace\":[",
@@ -427,7 +427,7 @@ TEST(PostmortemTest, ProcfsAndIoctlSurfaceTheLatestBundle) {
   ASSERT_FALSE(rig.module->Call("violate", {kForbiddenAddr}).ok());
 
   const std::string proc = kernel::ProcPostmortem();
-  EXPECT_NE(proc.find("kop.flight.postmortem/v1"), std::string::npos);
+  EXPECT_NE(proc.find("kop.flight.postmortem/v2"), std::string::npos);
   EXPECT_NE(proc.find("kop_victim"), std::string::npos);
 
   policy::CaratPostmortemArg reply;
@@ -442,7 +442,7 @@ TEST(PostmortemTest, ProcfsAndIoctlSurfaceTheLatestBundle) {
   EXPECT_GE(reply.incidents, 1u);
   const std::string json(reply.json);
   EXPECT_EQ(json.size(), reply.total_len);
-  EXPECT_NE(json.find("kop.flight.postmortem/v1"), std::string::npos);
+  EXPECT_NE(json.find("kop.flight.postmortem/v2"), std::string::npos);
 }
 
 TEST(PostmortemTest, LsmodShowsLastEventColumn) {

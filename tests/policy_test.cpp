@@ -355,7 +355,7 @@ struct GuardEffects {
   size_t violations = 0;
   uint64_t checks = 0;
   uint64_t denies = 0;
-  uint64_t lookups = 0;
+  uint64_t check_depth = 0;  // summed lookup depth of the guard.check records
   uint64_t deopts = 0;
   double cycles = 0.0;
 };
@@ -367,11 +367,13 @@ GuardEffects ObserveOneGuard(Call call) {
   engine.SetViolationAction(ViolationAction::kLogOnly);
   EXPECT_TRUE(engine.store().Add(Region{0x1000, 0x100, kProtRead}).ok());
   trace::Tracer& tracer = trace::GlobalTracer();
+  tracer.Reset();  // the ring then holds only this guard's records
   trace::Counter* deopts = trace::GlobalMetrics().GetCounter("guard.deopt");
-  const uint64_t checks = tracer.event_count(trace::EventId::kGuardCheck);
-  const uint64_t denies = tracer.event_count(trace::EventId::kGuardDeny);
-  const uint64_t lookups = tracer.event_count(trace::EventId::kPolicyLookup);
+  const trace::Log2Histogram* depth =
+      trace::GlobalMetrics().GetHistogram("policy.lookup_depth");
   const uint64_t deopts_before = deopts->value();
+  const uint64_t slow_before = depth->count();
+  const double depth_before = depth->sum();
   const double before = kernel.clock().NowCycles();
 
   GuardEffects out;
@@ -380,10 +382,25 @@ GuardEffects ObserveOneGuard(Call call) {
   out.stats = engine.stats();
   out.hot = engine.HotSites();
   out.violations = engine.RecentViolations().size();
-  out.checks = tracer.event_count(trace::EventId::kGuardCheck) - checks;
-  out.denies = tracer.event_count(trace::EventId::kGuardDeny) - denies;
-  out.lookups = tracer.event_count(trace::EventId::kPolicyLookup) - lookups;
+  out.checks = tracer.event_count(trace::EventId::kGuardCheck);
+  out.denies = tracer.event_count(trace::EventId::kGuardDeny);
+  for (const trace::TraceRecord& record : tracer.ring().Snapshot()) {
+    if (record.event == trace::EventId::kGuardCheck) {
+      out.check_depth += record.aux;
+    }
+  }
   out.deopts = deopts->value() - deopts_before;
+#if KOP_TRACE_ENABLED
+  // Every slow-path guard (the ones policy.lookup_depth observes) writes
+  // exactly one guard.check, and its depth field is the depth that guard
+  // added to policy.lookup_depth.
+  EXPECT_EQ(out.checks, depth->count() - slow_before);
+  EXPECT_EQ(static_cast<double>(out.check_depth),
+            depth->sum() - depth_before);
+#else
+  (void)slow_before;
+  (void)depth_before;
+#endif
   return out;
 }
 
@@ -403,7 +420,7 @@ void ExpectSameEffects(const GuardEffects& a, const GuardEffects& b) {
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.checks, b.checks);
   EXPECT_EQ(a.denies, b.denies);
-  EXPECT_EQ(a.lookups, b.lookups);
+  EXPECT_EQ(a.check_depth, b.check_depth);
   EXPECT_EQ(a.deopts, b.deopts);
   EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
 }
@@ -419,6 +436,10 @@ TEST(GuardEquivalenceTest, GuardAndRangeZeroAreIdentical) {
     });
     EXPECT_EQ(guard.verdict, flags == kGuardAccessRead);
     EXPECT_EQ(guard.stats.guard_calls, 1u);
+    // One slow guard, one guard.check record: the only region matches as
+    // entry 1, so the record's depth field is 1.
+    EXPECT_EQ(guard.checks, KOP_TRACE_ENABLED ? 1u : 0u);
+    EXPECT_EQ(guard.check_depth, KOP_TRACE_ENABLED ? 1u : 0u);
     ExpectSameEffects(guard, range);
   }
 }

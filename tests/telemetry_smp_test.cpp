@@ -1,19 +1,25 @@
-// Per-CPU telemetry under SMP: four CPUs drive guards, tracepoints, spans
-// and sink deliveries at once, and every folded total must come out
-// exact. Guard histograms, trace lanes, span lanes and the counting sink
-// all keep per-CPU cells that are summed only when read, so these are
-// the numbers a lost or double-counted update would show up in. Each
-// CPU's trace and span sequence numbers come from its own lane: they
-// must be unique across CPUs and increase within each CPU.
+// Telemetry under SMP: four CPUs drive guards, tracepoints, spans and
+// sink deliveries at once, and every folded total must come out exact.
+// Guard histograms, trace lanes and the counting sink all keep per-CPU or
+// per-thread cells that are summed only when read, so these are the
+// numbers a lost or double-counted update would show up in. Trace and
+// span records come from the writing thread's own lane: their sequence
+// numbers must be unique and increase within each lane, and a reader
+// racing the writers must never see a torn record.
 //
 // Built into the TSan job next to smp_test: the write paths share no
-// cache line, and the read-side folds race with nothing.
+// cache line, and the readers race only through the lanes' release/
+// acquire protocol.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "kop/kernel/kernel.hpp"
@@ -38,18 +44,22 @@ constexpr uint64_t kKernelAddr = 0xffff888000001000ULL;
 
 size_t FrameSize(uint32_t cpu, uint64_t i) { return 60 + cpu * 8 + i % 5; }
 
-/// Checks that `seqs` (in per-CPU record order) carry `cpu` in their top
-/// bits and strictly increasing ordinals.
+/// Checks that `seqs` (each CPU's in record order) are unique and strictly
+/// increasing within each lane. A lane passes from a departed thread to
+/// the next one, which may run on another CPU whose clock orders the
+/// merged stream differently, so lane order is checked per CPU.
 void ExpectLaneOrder(const std::map<uint32_t, std::vector<uint64_t>>& seqs) {
   std::set<uint64_t> seen;
-  for (const auto& [cpu, lane] : seqs) {
-    for (size_t i = 0; i < lane.size(); ++i) {
-      EXPECT_EQ(trace::SeqCpu(lane[i]), cpu);
-      EXPECT_TRUE(seen.insert(lane[i]).second) << "duplicate seq " << lane[i];
-      if (i > 0) {
-        EXPECT_LT(trace::SeqOrdinal(lane[i - 1]), trace::SeqOrdinal(lane[i]))
-            << "cpu " << cpu << " seq not increasing at " << i;
+  for (const auto& [cpu, stream] : seqs) {
+    std::map<uint32_t, uint64_t> last;
+    for (uint64_t seq : stream) {
+      EXPECT_TRUE(seen.insert(seq).second) << "duplicate seq " << seq;
+      const uint32_t lane = trace::SeqLane(seq);
+      if (auto prev = last.find(lane); prev != last.end()) {
+        EXPECT_LT(trace::SeqOrdinal(prev->second), trace::SeqOrdinal(seq))
+            << "cpu " << cpu << " lane " << lane << " seq not increasing";
       }
+      last[lane] = seq;
     }
   }
 }
@@ -91,8 +101,8 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
   EXPECT_EQ(metrics.GetHistogram("guard.latency_cycles")->count(), guards);
   EXPECT_EQ(metrics.GetHistogram("policy.lookup_depth")->count(), guards);
 
-  // Trace: the lane totals fold to the per-event counts, and nothing was
-  // dropped (each lane stays within its share of the budget).
+  // Trace: the lane totals fold to the per-event counts. Spans share the
+  // lanes but are not tracepoints, so they are not in these counts.
   const trace::TraceRing& ring = tracer.ring();
   uint64_t by_event = 0;
   for (size_t e = 0; e < trace::kEventCount; ++e) {
@@ -101,27 +111,38 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
   EXPECT_EQ(ring.total_appended(), by_event);
   EXPECT_EQ(tracer.event_count(trace::EventId::kIoctl),
             kCpus * kTracepointsPerCpu);
+  const std::vector<trace::TraceRecord> records = ring.Snapshot();
 #if KOP_TRACE_ENABLED
-  // Each guard fires policy.lookup and guard.check.
+  // Each guard fires one guard.check, whose depth field is the depth the
+  // guard added to policy.lookup_depth.
   EXPECT_EQ(tracer.event_count(trace::EventId::kGuardCheck), guards);
-  EXPECT_EQ(tracer.event_count(trace::EventId::kPolicyLookup), guards);
-  EXPECT_EQ(ring.total_appended(), kCpus * kTracepointsPerCpu + 2 * guards);
+  EXPECT_EQ(ring.total_appended(), kCpus * kTracepointsPerCpu + guards);
+  const trace::Log2Histogram* depth =
+      metrics.GetHistogram("policy.lookup_depth");
+  const double per_guard = depth->sum() / static_cast<double>(guards);
+  for (const trace::TraceRecord& record : records) {
+    if (record.event != trace::EventId::kGuardCheck) continue;
+    EXPECT_EQ(static_cast<double>(record.aux), per_guard);
+  }
 #else
   EXPECT_EQ(ring.total_appended(), kCpus * kTracepointsPerCpu);
 #endif
-  EXPECT_EQ(ring.dropped(), 0u);
-  const std::vector<trace::TraceRecord> records = ring.Snapshot();
-  ASSERT_EQ(records.size(), ring.total_appended());
+  // Each CPU's records come from its one thread's lane, in lane order.
+  // The lanes share the budget with the spans, so the oldest records may
+  // be gone, but never more than were appended.
+  EXPECT_EQ(records.size() + ring.dropped(), ring.total_appended());
+  EXPECT_LE(records.size(), ring.capacity());
+  std::map<uint32_t, std::set<uint32_t>> lanes_by_cpu;
   std::map<uint32_t, std::vector<uint64_t>> trace_seqs;
   for (const trace::TraceRecord& record : records) {
+    lanes_by_cpu[record.cpu].insert(trace::SeqLane(record.seq));
     trace_seqs[record.cpu].push_back(record.seq);
   }
-  ASSERT_EQ(trace_seqs.size(), kCpus);
-  ExpectLaneOrder(trace_seqs);
-  for (const auto& [cpu, lane] : trace_seqs) {
-    // Nothing dropped, so each lane's ordinals are exactly 0..n-1.
-    EXPECT_EQ(trace::SeqOrdinal(lane.back()), lane.size() - 1);
+  ASSERT_EQ(lanes_by_cpu.size(), kCpus);
+  for (const auto& [cpu, lanes] : lanes_by_cpu) {
+    EXPECT_EQ(lanes.size(), 1u) << "cpu " << cpu;
   }
+  ExpectLaneOrder(trace_seqs);
 
   // Spans: every guard decision plus the explicit spans.
   const uint64_t guard_spans = KOP_SPANS_ENABLED ? guards : 0;
@@ -131,7 +152,10 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
   EXPECT_EQ(spans.Stats(trace::SpanKind::kGuardDecision).count, guard_spans);
   std::map<uint32_t, std::vector<uint64_t>> span_seqs;
   for (uint32_t cpu = 0; cpu < kCpus; ++cpu) {
-    for (const trace::SpanEvent& event : spans.Tail(cpu, SIZE_MAX)) {
+    const std::vector<trace::SpanEvent> tail = spans.Tail(cpu, SIZE_MAX);
+    EXPECT_FALSE(tail.empty()) << "cpu " << cpu;
+    for (const trace::SpanEvent& event : tail) {
+      EXPECT_EQ(event.cpu, cpu);
       span_seqs[cpu].push_back(event.seq);
     }
   }
@@ -159,6 +183,9 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
 TEST(TelemetrySmpTest, TraceLanesShareTheRingBudget) {
   trace::TraceRing ring(256);
   constexpr uint64_t kPerCpu = 1000;
+  // Every writer registers before any goes on: a writer that finished
+  // early would hand its lane to the next thread to register.
+  std::barrier registered(kCpus);
   smp::RunOnCpus(kCpus, [&](uint32_t cpu) {
     for (uint64_t i = 0; i < kPerCpu; ++i) {
       trace::TraceRecord record;
@@ -166,8 +193,10 @@ TEST(TelemetrySmpTest, TraceLanesShareTheRingBudget) {
       record.event = trace::EventId::kGuardCheck;
       record.args[0] = i;
       ring.Append(record);
+      if (i == 0) registered.arrive_and_wait();
     }
   });
+  EXPECT_EQ(ring.lane_count(), kCpus);
   EXPECT_EQ(ring.total_appended(), kCpus * kPerCpu);
   EXPECT_EQ(ring.event_count(trace::EventId::kGuardCheck), kCpus * kPerCpu);
 
@@ -194,6 +223,150 @@ TEST(TelemetrySmpTest, TraceLanesShareTheRingBudget) {
   }
   EXPECT_EQ(ring.Snapshot().size(), ring.capacity());
   EXPECT_EQ(ring.dropped(), ring.capacity());
+}
+
+/// The payload a lane writer stamps: args[1..3] are functions of args[0],
+/// so a record mixing two writes fails Consistent.
+trace::TraceRecord Stamp(uint32_t writer, uint64_t i) {
+  trace::TraceRecord record;
+  record.event = trace::EventId::kIoctl;
+  record.cpu = static_cast<uint16_t>(smp::CurrentCpu());
+  record.args[0] = uint64_t{writer} << 32 | i;
+  record.args[1] = record.args[0] * 0x9e3779b97f4a7c15ULL;
+  record.args[2] = ~record.args[0];
+  record.args[3] = writer;
+  record.aux = static_cast<uint32_t>(i);
+  return record;
+}
+
+bool Consistent(const trace::TraceRecord& record) {
+  return record.event == trace::EventId::kIoctl &&
+         record.args[1] == record.args[0] * 0x9e3779b97f4a7c15ULL &&
+         record.args[2] == ~record.args[0] &&
+         record.args[3] == record.args[0] >> 32 &&
+         record.aux == static_cast<uint32_t>(record.args[0]);
+}
+
+TEST(TelemetrySmpTest, ReadersRacingBoundAndUnboundWritersSeeNoTornRecord) {
+  // Small enough that the writers lap their lanes while the reader
+  // copies them.
+  trace::TraceRing ring(256);
+  trace::SpanRecorder spans(ring);
+  constexpr uint32_t kBound = 4;
+  constexpr uint32_t kWriters = 2 * kBound;  // four bound, four unbound
+  constexpr uint64_t kRecords = 100000;
+  constexpr uint64_t kSpanEvery = 4;
+  std::atomic<uint32_t> running{kWriters};
+  // All writers hold their lanes at once, so no lane passes from one
+  // writer to the next mid-test.
+  std::barrier registered(kWriters);
+  std::atomic<uint64_t> reads{0};
+
+  std::thread reader([&] {
+    auto check = [&] {
+      const std::vector<trace::TraceRecord> records = ring.Snapshot();
+      EXPECT_LE(records.size(), ring.capacity());
+      // Per lane, the writer and its ordinals must be those of a single
+      // writer going forward.
+      std::map<uint32_t, trace::TraceRecord> last;
+      std::map<uint32_t, std::vector<uint64_t>> seqs;
+      for (const trace::TraceRecord& record : records) {
+        ASSERT_TRUE(Consistent(record)) << "torn record seq " << record.seq;
+        const uint32_t writer = static_cast<uint32_t>(record.args[3]);
+        EXPECT_EQ(record.cpu, writer < kBound ? writer : 0u);
+        seqs[record.cpu].push_back(record.seq);
+        const uint32_t lane = trace::SeqLane(record.seq);
+        if (auto prev = last.find(lane); prev != last.end()) {
+          EXPECT_EQ(prev->second.args[3], record.args[3]);
+          EXPECT_LT(prev->second.args[0], record.args[0]);
+        }
+        last[lane] = record;
+      }
+      ExpectLaneOrder(seqs);
+      for (uint32_t cpu = 0; cpu < kBound; ++cpu) {
+        for (const trace::SpanEvent& span : spans.Tail(cpu, 32)) {
+          EXPECT_EQ(span.kind, trace::SpanKind::kXmitBatch) << "torn span";
+          EXPECT_EQ(span.depth, 0u) << "torn span";
+          EXPECT_EQ(span.cpu, cpu);
+          EXPECT_EQ(span.arg % kSpanEvery, 0u) << "torn span";
+        }
+      }
+      (void)ring.total_appended();
+      reads.fetch_add(1, std::memory_order_relaxed);
+    };
+    while (running.load(std::memory_order_acquire) != 0) check();
+    check();
+  });
+
+  std::vector<std::thread> writers;
+  for (uint32_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      std::optional<smp::ScopedCpu> bind;
+      if (w < kBound) bind.emplace(w);
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        ring.Append(Stamp(w, i));
+        if (i == 0) registered.arrive_and_wait();
+        if (i % kSpanEvery == 0) {
+          spans.EndSpan(trace::SpanKind::kXmitBatch, spans.BeginSpan(), i);
+        }
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  reader.join();
+  EXPECT_GE(reads.load(), 1u);
+
+  // Exact totals once every writer is done.
+  EXPECT_EQ(ring.total_appended(), kWriters * kRecords);
+  EXPECT_EQ(ring.event_count(trace::EventId::kIoctl), kWriters * kRecords);
+  EXPECT_EQ(ring.span_count(), kWriters * (kRecords / kSpanEvery));
+  EXPECT_EQ(spans.total_recorded(), kWriters * (kRecords / kSpanEvery));
+  EXPECT_EQ(ring.lane_count(), kWriters);
+  const std::vector<trace::TraceRecord> records = ring.Snapshot();
+  EXPECT_EQ(records.size() + ring.dropped(), kWriters * kRecords);
+  size_t retained = records.size() + spans.Snapshot().size();
+  EXPECT_LE(retained, ring.capacity());
+  // Every writer's newest record survives: the lanes hold the newest.
+  std::set<uint64_t> newest;
+  for (const trace::TraceRecord& record : records) {
+    if ((record.args[0] & 0xffffffffu) == kRecords - 1) {
+      newest.insert(record.args[3]);
+    }
+  }
+  EXPECT_EQ(newest.size(), kWriters);
+}
+
+TEST(TelemetrySmpTest, LanesOutliveTheirThreadsAndStayBounded) {
+  trace::TraceRing ring(4096);
+  constexpr uint32_t kThreads = 200;
+  constexpr uint32_t kLive = 8;  // threads alive at once, at most
+  constexpr uint64_t kRecords = 50;
+  for (uint32_t wave = 0; wave < kThreads / kLive; ++wave) {
+    std::vector<std::thread> threads;
+    for (uint32_t t = 0; t < kLive; ++t) {
+      threads.emplace_back([&ring, w = wave * kLive + t] {
+        for (uint64_t i = 0; i < kRecords; ++i) ring.Append(Stamp(w, i));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_LE(ring.lane_count(), kLive);
+  }
+  EXPECT_EQ(ring.total_appended(), kThreads * kRecords);
+  const std::vector<trace::TraceRecord> records = ring.Snapshot();
+  EXPECT_LE(records.size(), ring.capacity());
+  EXPECT_EQ(records.size() + ring.dropped(), kThreads * kRecords);
+  // A departed thread's records stay: the last wave's writers are all
+  // gone, and every one of their records is still there.
+  std::map<uint32_t, std::vector<uint64_t>> seqs;
+  size_t last_wave = 0;
+  for (const trace::TraceRecord& record : records) {
+    EXPECT_TRUE(Consistent(record));
+    seqs[record.cpu].push_back(record.seq);
+    if (record.args[3] >= kThreads - kLive) ++last_wave;
+  }
+  EXPECT_EQ(last_wave, kLive * kRecords);
+  ExpectLaneOrder(seqs);
 }
 
 }  // namespace

@@ -876,9 +876,9 @@ int Forge(const std::vector<std::string>& args) {
 }
 
 /// The documented bundle schema (DESIGN.md §14): every key that must be
-/// present in a kop.flight.postmortem/v1 rendering.
+/// present in a kop.flight.postmortem/v2 rendering.
 const char* const kPostmortemSchemaKeys[] = {
-    "\"schema\":\"kop.flight.postmortem/v1\"",
+    "\"schema\":\"kop.flight.postmortem/v2\"",
     "\"module\":",
     "\"engine\":",
     "\"reason\":",
