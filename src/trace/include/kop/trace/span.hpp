@@ -15,7 +15,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,11 +85,8 @@ extern constinit thread_local uint16_t t_span_depth;
 /// its spans and tracepoints share lanes and budget.
 class SpanRecorder {
  public:
-  /// A recorder with a ring of its own, `capacity` records (rounded up to
-  /// a power of two, min 64).
-  explicit SpanRecorder(size_t capacity = 256);
   /// A recorder writing into `ring`'s lanes.
-  explicit SpanRecorder(TraceRing& ring);
+  explicit SpanRecorder(TraceRing& ring) : ring_(&ring) {}
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
@@ -153,7 +149,6 @@ class SpanRecorder {
                             : 0;
   }
 
-  std::unique_ptr<TraceRing> own_ring_;
   TraceRing* ring_;
   std::atomic<bool> enabled_{true};
   std::array<Log2Histogram, kSpanKindCount> hist_;  // per-CPU cells each

@@ -173,7 +173,11 @@ class TraceRing {
 
   const uint64_t id_;  // process-unique, never reused
   size_t capacity_;
-  mutable std::mutex lock_;
+  // Slots each lane may retain, bit_floor(capacity_ / lanes). Written
+  // under lock_ by Reshare; read by every append.
+  std::atomic<size_t> share_{0};
+  // Off the read-mostly line above: readers take it while writers append.
+  alignas(64) mutable std::mutex lock_;
   // Index = lane id. Shared with the owning threads, which hold their
   // lanes until they exit even if the ring goes first.
   std::vector<std::shared_ptr<Lane>> lanes_;
@@ -198,7 +202,6 @@ struct TraceRing::Lane {
   uint64_t ring_id = 0;
   std::atomic<uint64_t> count{0};    // records ever appended
   std::atomic<uint64_t> claimed{0};  // ordinals whose append has begun
-  std::atomic<size_t> limit{0};      // this lane's share of the budget
   std::atomic<uint64_t> spans{0};
   std::array<std::atomic<uint64_t>, kEventCount> events{};
   std::atomic<bool> owned{false};    // a live thread writes it
@@ -216,10 +219,10 @@ inline TraceRing::Lane& TraceRing::MyLane() {
 
 inline void TraceRing::Append(Lane& lane, const TraceRecord& record) {
   const uint64_t n = lane.count.load(std::memory_order_relaxed);
-  const size_t limit = lane.limit.load(std::memory_order_relaxed);
+  const size_t share = share_.load(std::memory_order_relaxed);
   // Trim to a lowered share or double up to it; a zero share (more
-  // lanes than budget) keeps one slot, hence `limit | 1`.
-  if (lane.size > (limit | 1) || (n >= lane.size && lane.size < limit))
+  // lanes than budget) keeps one slot, hence `share | 1`.
+  if (lane.size > (share | 1) || (n >= lane.size && lane.size < share))
       [[unlikely]] {
     Resize(lane);
   }

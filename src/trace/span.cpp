@@ -46,12 +46,6 @@ constinit thread_local uint16_t t_span_depth = 0;
 
 std::string_view SpanKindName(SpanKind kind) { return kSpanKinds[Index(kind)]; }
 
-SpanRecorder::SpanRecorder(size_t capacity)
-    : own_ring_(std::make_unique<TraceRing>(capacity)),
-      ring_(own_ring_.get()) {}
-
-SpanRecorder::SpanRecorder(TraceRing& ring) : ring_(&ring) {}
-
 std::vector<SpanEvent> SpanRecorder::Snapshot() const {
   std::vector<SpanEvent> out;
   for (const auto& lane : ring_->LaneRecords()) {

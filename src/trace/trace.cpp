@@ -62,10 +62,8 @@ struct ThreadLanes {
 };
 thread_local ThreadLanes t_lanes;
 
-/// The slots `lane` may hold: its share, but at least one to write into.
-size_t MaxSlots(const TraceRing::Lane& lane) {
-  return std::max<size_t>(lane.limit.load(std::memory_order_relaxed), 1);
-}
+/// The slots a lane may hold: its share, but at least one to write into.
+size_t MaxSlots(size_t share) { return std::max<size_t>(share, 1); }
 
 /// Resize `lane` to `size` slots, keeping its newest records at their
 /// ordinals' positions. The caller holds the ring lock and is the lane's
@@ -87,12 +85,12 @@ void ResizeLane(TraceRing::Lane& lane, size_t size) {
   lane.size = size;
 }
 
-/// Copy `lane`'s retained records, oldest first. The caller holds the
-/// ring lock.
-void CopyLane(const TraceRing::Lane& lane, std::vector<TraceRecord>* out) {
+/// Copy `lane`'s retained records (at most `share`), oldest first. The
+/// caller holds the ring lock.
+void CopyLane(const TraceRing::Lane& lane, size_t share,
+              std::vector<TraceRecord>* out) {
   const uint64_t count = lane.count.load(std::memory_order_acquire);
-  uint64_t first = count - std::min<uint64_t>(
-      {count, lane.size, lane.limit.load(std::memory_order_relaxed)});
+  uint64_t first = count - std::min<uint64_t>({count, lane.size, share});
   std::vector<TraceRecord> copy;
   for (uint64_t i = first; i < count; ++i) {
     const auto& words = lane.slots[i & (lane.size - 1)].words;
@@ -163,7 +161,7 @@ TraceRing::Lane& TraceRing::RegisterLane() {
       lane->ring_id = id_;
       lane->tag = MakeSeq(static_cast<uint32_t>(lanes_.size() - 1), 0);
       Reshare();
-      ResizeLane(*lane, std::min(kMinLaneSlots, MaxSlots(*lane)));
+      ResizeLane(*lane, std::min(kMinLaneSlots, MaxSlots(share_)));
     }
     lane->owned.store(true, std::memory_order_relaxed);
     t_lanes.lanes.push_back(lane);
@@ -175,19 +173,18 @@ TraceRing::Lane& TraceRing::RegisterLane() {
 
 void TraceRing::Resize(Lane& lane) {
   std::lock_guard<std::mutex> guard(lock_);
-  const size_t limit = MaxSlots(lane);
+  const size_t limit = MaxSlots(share_);
   ResizeLane(lane, lane.size > limit ? limit
                                      : std::min(limit, lane.size * 2));
 }
 
 void TraceRing::Reshare() {
   // A share that rounds to zero retains nothing (MaxSlots still gives
-  // the lane one slot to write into). Owned lanes trim themselves.
-  const size_t share = std::bit_floor(capacity_ / lanes_.size());
+  // a lane one slot to write into). Owned lanes trim themselves.
+  share_ = std::bit_floor(capacity_ / lanes_.size());
   for (const auto& lane : lanes_) {
-    lane->limit.store(share, std::memory_order_relaxed);
     if (!lane->owned.load(std::memory_order_acquire)) {
-      ResizeLane(*lane, std::min(lane->size, MaxSlots(*lane)));
+      ResizeLane(*lane, std::min(lane->size, MaxSlots(share_)));
     }
   }
 }
@@ -225,13 +222,24 @@ size_t TraceRing::lane_count() const {
 }
 
 uint64_t TraceRing::dropped() const {
-  return total_appended() - Snapshot().size();
+  // Count what is kept first: a record is counted before it is published,
+  // so a total read after the copy is never below the records it saw.
+  uint64_t kept = 0;
+  for (const auto& lane : LaneRecords()) {
+    kept += std::count_if(lane.begin(), lane.end(), [](const TraceRecord& r) {
+      return r.event != EventId::kSpan;
+    });
+  }
+  return total_appended() - kept;
 }
 
 std::vector<std::vector<TraceRecord>> TraceRing::LaneRecords() const {
   std::lock_guard<std::mutex> guard(lock_);
   std::vector<std::vector<TraceRecord>> out(lanes_.size());
-  for (size_t i = 0; i < lanes_.size(); ++i) CopyLane(*lanes_[i], &out[i]);
+  const size_t share = share_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    CopyLane(*lanes_[i], share, &out[i]);
+  }
   return out;
 }
 
@@ -262,7 +270,7 @@ void TraceRing::Clear() {
   if (lanes_.empty()) return;
   Reshare();
   for (const auto& lane : lanes_) {
-    ResizeLane(*lane, std::min(kMinLaneSlots, MaxSlots(*lane)));
+    ResizeLane(*lane, std::min(kMinLaneSlots, MaxSlots(share_)));
   }
 }
 

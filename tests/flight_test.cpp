@@ -176,7 +176,8 @@ class ScopedSpanClock {
 
 TEST(SpanRecorderTest, NestedSpansRecordDepthDurationAndKind) {
   ScopedSpanClock scoped;
-  trace::SpanRecorder recorder(64);
+  trace::TraceRing ring(64);
+  trace::SpanRecorder recorder(ring);
 
   const uint64_t outer = recorder.BeginSpan();
   scoped.clock().Advance(3.0);
@@ -205,7 +206,8 @@ TEST(SpanRecorderTest, NestedSpansRecordDepthDurationAndKind) {
 
 TEST(SpanRecorderTest, TailReturnsNewestOldestFirst) {
   ScopedSpanClock scoped;
-  trace::SpanRecorder recorder(64);
+  trace::TraceRing ring(64);
+  trace::SpanRecorder recorder(ring);
   for (int i = 0; i < 10; ++i) {
     const uint64_t begin = recorder.BeginSpan();
     scoped.clock().Advance(1.0);
@@ -219,7 +221,8 @@ TEST(SpanRecorderTest, TailReturnsNewestOldestFirst) {
 }
 
 TEST(SpanRecorderTest, DisabledRecorderDropsSpans) {
-  trace::SpanRecorder recorder(64);
+  trace::TraceRing ring(64);
+  trace::SpanRecorder recorder(ring);
   recorder.SetEnabled(false);
   // The KOP_SPAN fast path checks the flag before BeginSpan; emulate it.
   if (recorder.enabled()) {

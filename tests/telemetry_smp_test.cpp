@@ -12,8 +12,10 @@
 // acquire protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -64,6 +66,43 @@ void ExpectLaneOrder(const std::map<uint32_t, std::vector<uint64_t>>& seqs) {
   }
 }
 
+/// Checks that `lane`, one of ring.LaneRecords(), holds exactly its
+/// newest min(appended, bit_floor(capacity / lanes)) records, ordinals
+/// contiguous, and returns `appended` as its last ordinal gives it (0 for
+/// a lane that kept nothing) for the caller to check against its own
+/// count.
+uint64_t ExpectNewestKept(const trace::TraceRing& ring,
+                          const std::vector<trace::TraceRecord>& lane) {
+  if (lane.empty()) return 0;
+  for (size_t i = 1; i < lane.size(); ++i) {
+    EXPECT_EQ(trace::SeqLane(lane[i].seq), trace::SeqLane(lane[0].seq));
+    EXPECT_EQ(trace::SeqOrdinal(lane[i].seq),
+              trace::SeqOrdinal(lane[i - 1].seq) + 1)
+        << "gap in lane " << trace::SeqLane(lane[0].seq) << " at " << i;
+  }
+  const uint64_t appended = trace::SeqOrdinal(lane.back().seq) + 1;
+  const size_t share = std::bit_floor(ring.capacity() / ring.lane_count());
+  EXPECT_EQ(lane.size(), std::min<uint64_t>(appended, share));
+  return appended;
+}
+
+/// The newest min(size, share) of `appends` (one lane's events, oldest
+/// first): the records the lane must still hold.
+std::vector<trace::EventId> NewestKept(
+    const trace::TraceRing& ring, const std::vector<trace::EventId>& appends) {
+  const size_t share = std::bit_floor(ring.capacity() / ring.lane_count());
+  return {appends.end() - static_cast<ptrdiff_t>(
+                              std::min(appends.size(), share)),
+          appends.end()};
+}
+
+uint64_t Tracepoints(const std::vector<trace::EventId>& events) {
+  return static_cast<uint64_t>(
+      std::count_if(events.begin(), events.end(), [](trace::EventId id) {
+        return id != trace::EventId::kSpan;
+      }));
+}
+
 TEST(TelemetrySmpTest, FourCpusFoldExactly) {
   kernel::Kernel kernel;
   auto policy = policy::PolicyModule::Insert(
@@ -77,6 +116,9 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
   trace::GlobalMetrics().Reset();
   engine.ResetStats();
   nic::CountingSink sink(kRetain);
+  // No thread leaves before all have recorded, so no lane passes from one
+  // CPU's thread to another's.
+  std::barrier done(kCpus);
 
   smp::RunOnCpus(kCpus, [&](uint32_t cpu) {
     for (uint64_t i = 0; i < kGuardsPerCpu; ++i) {
@@ -92,6 +134,7 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
       sink.Deliver(std::vector<uint8_t>(FrameSize(cpu, i),
                                         static_cast<uint8_t>(cpu)));
     }
+    done.arrive_and_wait();
   });
 
   // Guards: both per-guard histograms saw every guard exactly once.
@@ -127,20 +170,38 @@ TEST(TelemetrySmpTest, FourCpusFoldExactly) {
 #else
   EXPECT_EQ(ring.total_appended(), kCpus * kTracepointsPerCpu);
 #endif
-  // Each CPU's records come from its one thread's lane, in lane order.
-  // The lanes share the budget with the spans, so the oldest records may
-  // be gone, but never more than were appended.
-  EXPECT_EQ(records.size() + ring.dropped(), ring.total_appended());
-  EXPECT_LE(records.size(), ring.capacity());
-  std::map<uint32_t, std::set<uint32_t>> lanes_by_cpu;
+  // Each CPU's thread has a lane of its own, into which it appended, in
+  // order: per guard its guard.check (trace builds) then its span (span
+  // builds), then the tracepoints, then the spans. Spans share the lanes'
+  // budget, so each lane keeps exactly the newest `kept` of these.
+  std::vector<trace::EventId> appends;
+  for (uint64_t i = 0; i < kGuardsPerCpu; ++i) {
+    if (KOP_TRACE_ENABLED) appends.push_back(trace::EventId::kGuardCheck);
+    if (KOP_SPANS_ENABLED) appends.push_back(trace::EventId::kSpan);
+  }
+  appends.insert(appends.end(), kTracepointsPerCpu, trace::EventId::kIoctl);
+  appends.insert(appends.end(), kSpansPerCpu, trace::EventId::kSpan);
+  const std::vector<trace::EventId> kept = NewestKept(ring, appends);
+  std::set<uint32_t> lane_cpus;
+  for (const auto& lane : ring.LaneRecords()) {
+    if (lane.empty()) continue;
+    EXPECT_EQ(ExpectNewestKept(ring, lane), appends.size());
+    EXPECT_TRUE(lane_cpus.insert(lane.front().cpu).second)
+        << "two lanes for cpu " << lane.front().cpu;
+    std::vector<trace::EventId> events;
+    for (const trace::TraceRecord& record : lane) {
+      EXPECT_EQ(record.cpu, lane.front().cpu);
+      events.push_back(record.event);
+    }
+    EXPECT_EQ(events, kept) << "cpu " << lane.front().cpu;
+  }
+  EXPECT_EQ(lane_cpus.size(), kCpus);
+  EXPECT_EQ(records.size(), kCpus * Tracepoints(kept));
+  EXPECT_EQ(ring.dropped(),
+            kCpus * (Tracepoints(appends) - Tracepoints(kept)));
   std::map<uint32_t, std::vector<uint64_t>> trace_seqs;
   for (const trace::TraceRecord& record : records) {
-    lanes_by_cpu[record.cpu].insert(trace::SeqLane(record.seq));
     trace_seqs[record.cpu].push_back(record.seq);
-  }
-  ASSERT_EQ(lanes_by_cpu.size(), kCpus);
-  for (const auto& [cpu, lanes] : lanes_by_cpu) {
-    EXPECT_EQ(lanes.size(), 1u) << "cpu " << cpu;
   }
   ExpectLaneOrder(trace_seqs);
 
@@ -291,7 +352,8 @@ TEST(TelemetrySmpTest, ReadersRacingBoundAndUnboundWritersSeeNoTornRecord) {
           EXPECT_EQ(span.arg % kSpanEvery, 0u) << "torn span";
         }
       }
-      (void)ring.total_appended();
+      const uint64_t dropped = ring.dropped();
+      EXPECT_LE(dropped, ring.total_appended());
       reads.fetch_add(1, std::memory_order_relaxed);
     };
     while (running.load(std::memory_order_acquire) != 0) check();
@@ -323,10 +385,22 @@ TEST(TelemetrySmpTest, ReadersRacingBoundAndUnboundWritersSeeNoTornRecord) {
   EXPECT_EQ(ring.span_count(), kWriters * (kRecords / kSpanEvery));
   EXPECT_EQ(spans.total_recorded(), kWriters * (kRecords / kSpanEvery));
   EXPECT_EQ(ring.lane_count(), kWriters);
+  // Each lane keeps exactly the newest of its writer's appends: a record,
+  // then a span after every kSpanEvery-th.
+  std::vector<trace::EventId> appends;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    appends.push_back(trace::EventId::kIoctl);
+    if (i % kSpanEvery == 0) appends.push_back(trace::EventId::kSpan);
+  }
+  const std::vector<trace::EventId> kept = NewestKept(ring, appends);
+  for (const auto& lane : ring.LaneRecords()) {
+    EXPECT_EQ(ExpectNewestKept(ring, lane), appends.size());
+  }
   const std::vector<trace::TraceRecord> records = ring.Snapshot();
-  EXPECT_EQ(records.size() + ring.dropped(), kWriters * kRecords);
-  size_t retained = records.size() + spans.Snapshot().size();
-  EXPECT_LE(retained, ring.capacity());
+  EXPECT_EQ(records.size(), kWriters * Tracepoints(kept));
+  EXPECT_EQ(spans.Snapshot().size(),
+            kWriters * (kept.size() - Tracepoints(kept)));
+  EXPECT_EQ(ring.dropped(), kWriters * (kRecords - Tracepoints(kept)));
   // Every writer's newest record survives: the lanes hold the newest.
   std::set<uint64_t> newest;
   for (const trace::TraceRecord& record : records) {
@@ -353,9 +427,21 @@ TEST(TelemetrySmpTest, LanesOutliveTheirThreadsAndStayBounded) {
     EXPECT_LE(ring.lane_count(), kLive);
   }
   EXPECT_EQ(ring.total_appended(), kThreads * kRecords);
+  // Which lanes a thread continued depends on the scheduler, but every
+  // append is in some lane, and each lane keeps exactly its newest share.
+  const size_t share = std::bit_floor(ring.capacity() / ring.lane_count());
+  uint64_t appended = 0;
+  uint64_t kept = 0;
+  for (const auto& lane : ring.LaneRecords()) {
+    const uint64_t n = ExpectNewestKept(ring, lane);
+    appended += n;
+    kept += std::min<uint64_t>(n, share);
+  }
+  EXPECT_EQ(appended, kThreads * kRecords);
   const std::vector<trace::TraceRecord> records = ring.Snapshot();
   EXPECT_LE(records.size(), ring.capacity());
-  EXPECT_EQ(records.size() + ring.dropped(), kThreads * kRecords);
+  EXPECT_EQ(records.size(), kept);
+  EXPECT_EQ(ring.dropped(), kThreads * kRecords - kept);
   // A departed thread's records stay: the last wave's writers are all
   // gone, and every one of their records is still there.
   std::map<uint32_t, std::vector<uint64_t>> seqs;
