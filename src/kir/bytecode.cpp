@@ -9,6 +9,9 @@
 namespace kop::kir {
 namespace {
 
+/// Value number of a value that has no register.
+constexpr uint32_t kNoReg = UINT32_MAX;
+
 constexpr uint64_t MaskOfBits(unsigned bits) {
   if (bits == 0) return 0;
   if (bits >= 64) return ~uint64_t{0};
@@ -35,14 +38,29 @@ class FunctionCompiler {
   }
 
  private:
+  /// Registers ride in each value's number: an argument's is its index,
+  /// constants and globals get theirs on first use, every value-producing
+  /// instruction one after them and a void one kNoReg. Constants and
+  /// globals are shared by every function, so their numbers are cleared
+  /// first.
   Status PlanRegisters() {
     // Arguments first.
     for (const auto& arg : fn_.args()) {
-      regs_[arg.get()] = next_reg_;
+      arg->set_number(next_reg_);
       bf_.arg_masks.push_back(MaskOfBits(BitWidth(arg->type())));
       ++next_reg_;
     }
     bf_.num_args = static_cast<uint16_t>(fn_.arg_count());
+
+    for (const auto& block : fn_.blocks()) {
+      for (const auto& inst : *block) {
+        for (const Value* operand : inst->operands()) {
+          if (isa<Constant>(operand) || isa<GlobalVariable>(operand)) {
+            operand->set_number(kNoReg);
+          }
+        }
+      }
+    }
 
     // Constants and globals next, in a contiguous range the frame
     // template pre-fills (globals patched with addresses at VM bind).
@@ -51,15 +69,15 @@ class FunctionCompiler {
       for (const auto& inst : *block) {
         for (const Value* operand : inst->operands()) {
           if (const auto* c = dyn_cast<Constant>(operand)) {
-            if (regs_.count(c)) continue;
-            regs_[c] = next_reg_;
+            if (c->number() != kNoReg) continue;
+            c->set_number(next_reg_);
             template_values_.push_back(c->bits());
             KOP_RETURN_IF_ERROR(BumpReg());
           } else if (const auto* g = dyn_cast<GlobalVariable>(operand)) {
-            if (regs_.count(g)) continue;
+            if (g->number() != kNoReg) continue;
             bf_.global_fixups.push_back(
                 {next_reg_, InternGlobalName(g->name())});
-            regs_[g] = next_reg_;
+            g->set_number(next_reg_);
             template_values_.push_back(0);
             KOP_RETURN_IF_ERROR(BumpReg());
           }
@@ -72,8 +90,11 @@ class FunctionCompiler {
     // included: edge moves write them).
     for (const auto& block : fn_.blocks()) {
       for (const auto& inst : *block) {
-        if (inst->type() == Type::kVoid) continue;
-        regs_[inst.get()] = next_reg_;
+        if (inst->type() == Type::kVoid) {
+          inst->set_number(kNoReg);
+          continue;
+        }
+        inst->set_number(next_reg_);
         KOP_RETURN_IF_ERROR(BumpReg());
       }
     }
@@ -103,18 +124,35 @@ class FunctionCompiler {
     return static_cast<uint32_t>(out_.global_names.size() - 1);
   }
 
+  /// The register PlanRegisters gave `v`; an error for a void
+  /// instruction or a value of another function.
   Result<uint16_t> RegOf(const Value* v) {
-    auto it = regs_.find(v);
-    if (it == regs_.end()) {
+    bool planned = true;
+    if (const auto* inst = dyn_cast<Instruction>(v)) {
+      planned = inst->number() != kNoReg && inst->parent() != nullptr &&
+                inst->parent()->parent() == &fn_;
+    } else if (const auto* arg = dyn_cast<Argument>(v)) {
+      planned = arg->index() < fn_.arg_count() &&
+                fn_.args()[arg->index()].get() == arg;
+    }
+    if (!planned) {
       return Internal("use of unevaluated value %" + v->name() + " in @" +
                       fn_.name());
     }
-    return it->second;
+    return static_cast<uint16_t>(v->number());
+  }
+
+  /// Index of a branch target, numbered by EmitBlocks.
+  Result<uint32_t> BlockOf(const BasicBlock* block) {
+    if (block == nullptr || block->parent() != &fn_) {
+      return Internal("branch to a block outside @" + fn_.name());
+    }
+    return block->number();
   }
 
   Status EmitBlocks() {
     for (size_t i = 0; i < fn_.blocks().size(); ++i) {
-      block_index_[fn_.blocks()[i].get()] = static_cast<uint32_t>(i);
+      fn_.blocks()[i]->set_number(static_cast<uint32_t>(i));
     }
     block_pc_.assign(fn_.blocks().size(), 0);
 
@@ -281,15 +319,15 @@ class FunctionCompiler {
       case Opcode::kBr: {
         out.op = BcOp::kBr;
         KOP_ASSIGN_OR_RETURN(out.a, RegOf(inst.operand(0)));
-        out.aux = block_index_.at(inst.true_block());
-        out.imm = block_index_.at(inst.false_block());
+        KOP_ASSIGN_OR_RETURN(out.aux, BlockOf(inst.true_block()));
+        KOP_ASSIGN_OR_RETURN(out.imm, BlockOf(inst.false_block()));
         KOP_ASSIGN_OR_RETURN(out.dst, EdgeMoves(block, inst.true_block()));
         KOP_ASSIGN_OR_RETURN(out.b, EdgeMoves(block, inst.false_block()));
         return out;
       }
       case Opcode::kJmp: {
         out.op = BcOp::kJmp;
-        out.aux = block_index_.at(inst.true_block());
+        KOP_ASSIGN_OR_RETURN(out.aux, BlockOf(inst.true_block()));
         KOP_ASSIGN_OR_RETURN(out.dst, EdgeMoves(block, inst.true_block()));
         return out;
       }
@@ -402,9 +440,7 @@ class FunctionCompiler {
   uint64_t& call_ordinal_;
   BytecodeFunction bf_;
   uint16_t next_reg_ = 0;
-  std::unordered_map<const Value*, uint16_t> regs_;
   std::vector<uint64_t> template_values_;
-  std::unordered_map<const BasicBlock*, uint32_t> block_index_;
   std::vector<uint32_t> block_pc_;
   std::unordered_map<std::string, uint32_t> extern_index_;
 };

@@ -1,13 +1,14 @@
 #include "kop/kir/cfg.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace kop::kir {
 
 Cfg::Cfg(const Function& fn) : fn_(fn) {
   blocks_.reserve(fn.blocks().size());
   for (const auto& block : fn.blocks()) {
-    index_[block.get()] = blocks_.size();
+    block->set_number(static_cast<uint32_t>(blocks_.size()));
     blocks_.push_back(block.get());
   }
   preds_.resize(blocks_.size());
@@ -19,7 +20,9 @@ Cfg::Cfg(const Function& fn) : fn_(fn) {
     if (term == nullptr) continue;
     const BasicBlock* targets[2] = {term->true_block(), term->false_block()};
     for (const BasicBlock* target : targets) {
-      if (target == nullptr) continue;
+      // A target in another function has no number here. Such IR never
+      // comes out of the parser, and bytecode lowering refuses it.
+      if (target == nullptr || target->parent() != &fn) continue;
       succs_[IndexOf(block)].push_back(target);
       preds_[IndexOf(target)].push_back(block);
     }
@@ -59,8 +62,12 @@ DominatorTree::DominatorTree(const Cfg& cfg)
     : cfg_(cfg), idom_(cfg.size(), nullptr) {
   if (cfg.size() == 0) return;
   const auto& rpo = cfg.ReversePostorder();
-  std::unordered_map<const BasicBlock*, size_t> rpo_pos;
-  for (size_t i = 0; i < rpo.size(); ++i) rpo_pos[rpo[i]] = i;
+  constexpr size_t kUnreached = std::numeric_limits<size_t>::max();
+  std::vector<size_t> rpo_pos(cfg.size(), kUnreached);
+  for (size_t i = 0; i < rpo.size(); ++i) rpo_pos[cfg.IndexOf(rpo[i])] = i;
+  auto pos = [&](const BasicBlock* block) {
+    return rpo_pos[cfg.IndexOf(block)];
+  };
 
   const BasicBlock* entry = cfg.blocks()[0];
   idom_[cfg.IndexOf(entry)] = entry;
@@ -68,8 +75,8 @@ DominatorTree::DominatorTree(const Cfg& cfg)
   auto intersect = [&](const BasicBlock* a,
                        const BasicBlock* b) -> const BasicBlock* {
     while (a != b) {
-      while (rpo_pos.at(a) > rpo_pos.at(b)) a = idom_[cfg_.IndexOf(a)];
-      while (rpo_pos.at(b) > rpo_pos.at(a)) b = idom_[cfg_.IndexOf(b)];
+      while (pos(a) > pos(b)) a = idom_[cfg_.IndexOf(a)];
+      while (pos(b) > pos(a)) b = idom_[cfg_.IndexOf(b)];
     }
     return a;
   };
@@ -81,7 +88,7 @@ DominatorTree::DominatorTree(const Cfg& cfg)
       if (block == entry) continue;
       const BasicBlock* new_idom = nullptr;
       for (const BasicBlock* pred : cfg.preds(block)) {
-        if (!rpo_pos.count(pred)) continue;  // unreachable predecessor
+        if (pos(pred) == kUnreached) continue;  // unreachable predecessor
         if (idom_[cfg.IndexOf(pred)] == nullptr) continue;
         new_idom = new_idom == nullptr ? pred : intersect(new_idom, pred);
       }
@@ -114,9 +121,8 @@ std::vector<const BasicBlock*> ComputeImmediateDominators(const Function& fn) {
 bool BlockDominates(const Function& fn,
                     const std::vector<const BasicBlock*>& idom,
                     const BasicBlock* a, const BasicBlock* b) {
-  std::unordered_map<const BasicBlock*, size_t> index;
   for (size_t i = 0; i < fn.blocks().size(); ++i) {
-    index[fn.blocks()[i].get()] = i;
+    fn.blocks()[i]->set_number(static_cast<uint32_t>(i));
   }
   const BasicBlock* entry =
       fn.blocks().empty() ? nullptr : fn.blocks()[0].get();
@@ -124,7 +130,7 @@ bool BlockDominates(const Function& fn,
   while (walk != nullptr) {
     if (walk == a) return true;
     if (walk == entry) return false;
-    const BasicBlock* up = idom[index.at(walk)];
+    const BasicBlock* up = idom[walk->number()];
     if (up == walk) return false;  // detached/unreachable
     walk = up;
   }

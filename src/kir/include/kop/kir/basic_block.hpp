@@ -27,6 +27,12 @@ class BasicBlock {
   const std::string& label() const { return label_; }
   Function* parent() const { return parent_; }
 
+  /// Position in the function's block list, written by each consumer that
+  /// walks the function (Cfg, bytecode lowering) when it starts; stale
+  /// after any mutation of the block list.
+  uint32_t number() const { return number_; }
+  void set_number(uint32_t number) const { number_ = number; }
+
   iterator begin() { return insts_.begin(); }
   iterator end() { return insts_.end(); }
   const_iterator begin() const { return insts_.begin(); }
@@ -63,6 +69,7 @@ class BasicBlock {
  private:
   std::string label_;
   Function* parent_;
+  mutable uint32_t number_ = 0;
   InstList insts_;
 };
 

@@ -8,7 +8,6 @@
 // removes the possibility.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "kop/kir/function.hpp"
@@ -17,7 +16,9 @@ namespace kop::kir {
 
 /// Control-flow views of one function, computed eagerly at construction.
 /// Blocks are identified by their creation-order index within the
-/// function (the same numbering Function::blocks() exposes).
+/// function (the same numbering Function::blocks() exposes). Construction
+/// writes that index into each block (BasicBlock::number), so views are
+/// plain vectors; a Cfg is valid until the function's block list changes.
 class Cfg {
  public:
   explicit Cfg(const Function& fn);
@@ -26,7 +27,7 @@ class Cfg {
   size_t size() const { return blocks_.size(); }
 
   /// Creation-order index of `block` within the function.
-  size_t IndexOf(const BasicBlock* block) const { return index_.at(block); }
+  size_t IndexOf(const BasicBlock* block) const { return block->number(); }
 
   const std::vector<const BasicBlock*>& blocks() const { return blocks_; }
   const std::vector<const BasicBlock*>& preds(const BasicBlock* block) const {
@@ -51,7 +52,6 @@ class Cfg {
  private:
   const Function& fn_;
   std::vector<const BasicBlock*> blocks_;
-  std::unordered_map<const BasicBlock*, size_t> index_;
   std::vector<std::vector<const BasicBlock*>> preds_;
   std::vector<std::vector<const BasicBlock*>> succs_;
   std::vector<const BasicBlock*> rpo_;

@@ -123,8 +123,8 @@ struct InterpConfig {
   /// Stack arena in simulated memory for allocas (provided by the loader).
   uint64_t stack_base = 0;
   uint64_t stack_size = 64 * 1024;
-  /// Engine-lifetime execution budget; exceeded -> error (kernel would
-  /// watchdog).
+  /// Step budget of each outermost call (nested re-entries share their
+  /// outermost call's); exceeded -> error (kernel would watchdog).
   uint64_t max_steps = 50'000'000;
   /// Per-call watchdog: one top-level Call may run at most this many
   /// steps before it is cut off with kTimeout (0 = no watchdog). The
@@ -204,14 +204,23 @@ inline Status IndirectCallInvalidTarget(uint64_t target,
                           std::string(buf) + " in @" + fn_name);
 }
 
+/// Step deadline of an outermost call entered with `steps` retired: the
+/// call may run max_steps more, or fewer when the armed watchdog is
+/// shorter. Saturating, as benches set max_steps to ~0.
+inline uint64_t CallStepLimit(const InterpConfig& config, uint64_t steps) {
+  uint64_t budget = config.max_steps;
+  if (config.watchdog_steps != 0 && config.watchdog_steps < budget) {
+    budget = config.watchdog_steps;
+  }
+  return steps > ~uint64_t{0} - budget ? ~uint64_t{0} : steps + budget;
+}
+
 /// The step-budget error both engines report, built in one place so the
 /// text is bit-identical between them (engine_test.cpp pins observable
-/// equality). `step_limit` is the deadline that actually fired: when the
-/// armed watchdog cut the call short of the lifetime budget the error is
-/// kTimeout, otherwise the lifetime-budget kInternal error.
-inline Status StepBudgetExceeded(const InterpConfig& config,
-                                 uint64_t step_limit) {
-  if (config.watchdog_steps != 0 && step_limit < config.max_steps) {
+/// equality): kTimeout when the armed watchdog is what cut the call
+/// short, otherwise the kInternal per-call budget error.
+inline Status StepBudgetExceeded(const InterpConfig& config) {
+  if (config.watchdog_steps != 0 && config.watchdog_steps < config.max_steps) {
     return Timeout("module call exceeded its watchdog step budget (" +
                    std::to_string(config.watchdog_steps) + " steps)");
   }

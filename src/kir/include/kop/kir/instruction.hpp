@@ -4,6 +4,7 @@
 // live in the instruction and are validated by the verifier.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -62,6 +63,44 @@ enum class ICmpPred : uint8_t {
 
 std::string_view ICmpPredName(ICmpPred pred);
 
+/// An instruction's operands. Up to three (every opcode but calls and
+/// phis) live inside the instruction; more take one heap array.
+class OperandList {
+ public:
+  OperandList() = default;
+  OperandList(const OperandList&) = delete;
+  OperandList& operator=(const OperandList&) = delete;
+  ~OperandList() {
+    if (data_ != inline_) delete[] data_;
+  }
+
+  Value* const* begin() const { return data_; }
+  Value* const* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+  Value* operator[](size_t i) const { return data_[i]; }
+  Value*& operator[](size_t i) { return data_[i]; }
+
+  void reserve(size_t capacity) {
+    if (capacity <= capacity_) return;
+    Value** grown = new Value*[capacity];
+    std::copy(data_, data_ + size_, grown);
+    if (data_ != inline_) delete[] data_;
+    data_ = grown;
+    capacity_ = static_cast<uint32_t>(capacity);
+  }
+  void push_back(Value* value) {
+    if (size_ == capacity_) reserve(2 * size_t{capacity_});
+    data_[size_++] = value;
+  }
+
+ private:
+  static constexpr uint32_t kInline = 3;
+  Value** data_ = inline_;
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInline;
+  Value* inline_[kInline] = {};
+};
+
 class Instruction : public Value {
  public:
   Instruction(Opcode opcode, Type result_type, std::string name)
@@ -71,10 +110,16 @@ class Instruction : public Value {
   Opcode opcode() const { return opcode_; }
 
   // --- operands ---
-  const std::vector<Value*>& operands() const { return operands_; }
+  const OperandList& operands() const { return operands_; }
   Value* operand(size_t i) const { return operands_[i]; }
   size_t operand_count() const { return operands_.size(); }
   void AddOperand(Value* v) { operands_.push_back(v); }
+  /// Size operand storage once for `count` operands (and a phi's incoming
+  /// blocks with them).
+  void ReserveOperands(size_t count) {
+    operands_.reserve(count);
+    if (opcode_ == Opcode::kPhi) incoming_blocks_.reserve(count);
+  }
   void SetOperand(size_t i, Value* v) { operands_[i] = v; }
 
   // --- opcode-specific fields ---
@@ -110,8 +155,11 @@ class Instruction : public Value {
   }
   void AddIncoming(Value* value, BasicBlock* block) {
     AddOperand(value);
-    incoming_blocks_.push_back(block);
+    AddIncomingBlock(block);
   }
+  /// The block for the operand added last (the parser adds the value
+  /// before it has read the block's label).
+  void AddIncomingBlock(BasicBlock* block) { incoming_blocks_.push_back(block); }
 
   /// The block this instruction currently lives in (maintained by
   /// BasicBlock insert/remove).
@@ -132,7 +180,7 @@ class Instruction : public Value {
 
  private:
   Opcode opcode_;
-  std::vector<Value*> operands_;
+  OperandList operands_;
   uint64_t alloca_size_ = 0;
   Type memory_type_ = Type::kVoid;
   uint64_t gep_scale_ = 1;

@@ -65,8 +65,9 @@ class Interpreter : public ExecutionEngine {
   InterpConfig config_;
   InterpStats stats_;
   EngineSnapshot fault_state_;
-  /// Step deadline for the call in flight: min(lifetime budget, steps at
-  /// call entry + watchdog budget). Set at each top-level Call.
+  /// Step deadline for the call in flight: max_steps, or a shorter
+  /// watchdog, past the steps retired at entry (CallStepLimit). Set at
+  /// each top-level Call.
   uint64_t step_limit_ = InterpConfig().max_steps;
   /// Re-entry depth (a module calling back into itself through a kernel
   /// export) — only the outermost Call re-arms the watchdog deadline.

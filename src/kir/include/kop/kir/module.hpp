@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kop/kir/function.hpp"
@@ -30,7 +31,7 @@ class Module {
   /// Define a global variable. Fails (returns nullptr) on duplicate name.
   GlobalVariable* AddGlobal(const std::string& name, uint64_t size_bytes,
                             bool writable, std::string init_bytes = {});
-  GlobalVariable* FindGlobal(const std::string& name);
+  GlobalVariable* FindGlobal(std::string_view name);
   const std::vector<std::unique_ptr<GlobalVariable>>& globals() const {
     return globals_;
   }

@@ -32,9 +32,17 @@ class Value {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
+  /// Dense number a consumer (verifier, bytecode lowering) gives the
+  /// value in one walk over a function when it starts; meaningless to
+  /// everyone else and stale after any mutation. Const because numbering
+  /// reads the IR without changing it.
+  uint32_t number() const { return number_; }
+  void set_number(uint32_t number) const { number_ = number; }
+
  private:
   ValueKind kind_;
   Type type_;
+  mutable uint32_t number_ = 0;
   std::string name_;
 };
 

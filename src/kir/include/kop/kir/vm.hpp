@@ -70,9 +70,10 @@ class VM : public ExecutionEngine {
   InterpConfig config_;
   InterpStats stats_;
   EngineSnapshot fault_state_;
-  /// Step deadline for the call in flight: min(lifetime budget, steps at
-  /// call entry + watchdog budget). Set at each top-level Call; nested
-  /// frames read it through RunFrame (mirrors the interpreter exactly).
+  /// Step deadline for the call in flight: max_steps, or a shorter
+  /// watchdog, past the steps retired at entry (CallStepLimit). Set at
+  /// each top-level Call; nested frames read it through RunFrame
+  /// (mirrors the interpreter exactly).
   uint64_t step_limit_ = InterpConfig().max_steps;
   /// Re-entry depth (resolver calling back into this VM) — only the
   /// outermost Call re-arms the watchdog deadline.

@@ -51,11 +51,7 @@ Result<uint64_t> Interpreter::Call(const std::string& fn_name,
     return InvalidArgument("argument count mismatch calling @" + fn_name);
   }
   if (entry_depth_ == 0) {
-    step_limit_ = config_.max_steps;
-    if (config_.watchdog_steps != 0 &&
-        stats_.steps + config_.watchdog_steps < step_limit_) {
-      step_limit_ = stats_.steps + config_.watchdog_steps;
-    }
+    step_limit_ = CallStepLimit(config_, stats_.steps);
     fault_state_ = EngineSnapshot();
   }
   // Outermost entry pins the policy frame for the inline-guard fast
@@ -168,7 +164,7 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
     for (; it != block->end(); ++it) {
       const Instruction& inst = **it;
       if (++stats_.steps > step_limit_) {
-        return StepBudgetExceeded(config_, step_limit_);
+        return StepBudgetExceeded(config_);
       }
 
       switch (inst.opcode()) {

@@ -59,7 +59,7 @@ GlobalVariable* Module::AddGlobal(const std::string& name, uint64_t size_bytes,
   return globals_.back().get();
 }
 
-GlobalVariable* Module::FindGlobal(const std::string& name) {
+GlobalVariable* Module::FindGlobal(std::string_view name) {
   for (auto& global : globals_) {
     if (global->name() == name) return global.get();
   }

@@ -1,9 +1,8 @@
 #include "kop/kir/parser.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <optional>
-#include <unordered_map>
+#include <array>
+#include <charconv>
+#include <climits>
 #include <vector>
 
 namespace kop::kir {
@@ -11,7 +10,7 @@ namespace {
 
 // ---------------------------------------------------------------- lexer --
 
-enum class TokKind {
+enum class TokKind : uint8_t {
   kEof,
   kIdent,    // keywords, type names, labels
   kLocal,    // %name
@@ -22,164 +21,379 @@ enum class TokKind {
   kArrow,    // ->
 };
 
+/// `text` views the source (a name without its sigil, a string body), so a
+/// token is valid only while the text handed to ParseModule is.
 struct Token {
   TokKind kind = TokKind::kEof;
-  std::string text;   // ident/local/global name (without sigil), string body
-  uint64_t int_value = 0;
+  char punct = 0;  // kPunct: the character
   int line = 0;
+  std::string_view text;
+  uint64_t int_value = 0;
 };
 
+// Character classes of the "C" locale, one table load per test.
+enum : uint8_t {
+  kSpace = 1,
+  kDigit = 2,
+  kXDigit = 4,
+  kIdentStart = 8,
+  kIdentBody = 16,
+  kPunctChar = 32,
+};
+
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> classes{};
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[static_cast<unsigned char>(c)] |= kSpace;
+  }
+  for (int c = '0'; c <= '9'; ++c) classes[c] |= kDigit | kXDigit | kIdentBody;
+  for (int c = 'a'; c <= 'z'; ++c) classes[c] |= kIdentStart | kIdentBody;
+  for (int c = 'A'; c <= 'Z'; ++c) classes[c] |= kIdentStart | kIdentBody;
+  for (int c = 'a'; c <= 'f'; ++c) classes[c] |= kXDigit;
+  for (int c = 'A'; c <= 'F'; ++c) classes[c] |= kXDigit;
+  classes['_'] |= kIdentStart | kIdentBody;
+  classes['.'] |= kIdentStart | kIdentBody;
+  classes['$'] |= kIdentBody;
+  for (char c : {'(', ')', '{', '}', ',', ':', '[', ']', '='}) {
+    classes[static_cast<unsigned char>(c)] |= kPunctChar;
+  }
+  return classes;
+}
+
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool IsClass(char c, uint8_t mask) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & mask) != 0;
+}
+
+/// Names and keywords are a few bytes: comparing inline beats a call to
+/// memcmp.
+bool SameName(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+/// Lexes on demand, one token per Next(). A lex error anywhere in the text
+/// wins over any parse error, so the parser drains the lexer before it
+/// reports one.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
-    while (true) {
-      SkipWhitespaceAndComments();
-      if (pos_ >= text_.size()) break;
-      const char c = text_[pos_];
-      if (c == '%' || c == '@') {
-        ++pos_;
-        std::string name = LexIdentBody();
-        if (name.empty()) return Error("empty name after sigil");
-        out.push_back({c == '%' ? TokKind::kLocal : TokKind::kGlobal,
-                       std::move(name), 0, line_});
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-                 c == '.') {
-        out.push_back({TokKind::kIdent, LexIdentBody(), 0, line_});
-      } else if (std::isdigit(static_cast<unsigned char>(c)) || c == '-') {
-        auto tok = LexNumber();
-        if (!tok.ok()) return tok.status();
-        out.push_back(*tok);
-      } else if (c == '"') {
-        auto tok = LexString();
-        if (!tok.ok()) return tok.status();
-        out.push_back(*tok);
-      } else if (c == '-' ) {
-        return Error("unexpected '-'");
-      } else if (c == '(' || c == ')' || c == '{' || c == '}' || c == ',' ||
-                 c == ':' || c == '[' || c == ']' || c == '=') {
-        out.push_back({TokKind::kPunct, std::string(1, c), 0, line_});
-        ++pos_;
-      } else {
-        return Error(std::string("unexpected character '") + c + "'");
-      }
-    }
-    out.push_back({TokKind::kEof, "", 0, line_});
-    return out;
+  /// Lex the next token into `tok`, a default Token. At the end of the
+  /// text, and for good after a lex error (kept for Drain), an EOF token.
+  void Next(Token* tok) {
+    if (!status_.ok() || !Lex(tok)) *tok = Token{};
+    if (tok->kind == TokKind::kEof) tok->line = line_;
+  }
+
+  /// Lex the rest of the text; the first lex error, if any.
+  const Status& Drain() {
+    Token tok;
+    do {
+      tok = Token{};
+      Next(&tok);
+    } while (tok.kind != TokKind::kEof);
+    return status_;
   }
 
  private:
-  Status Error(const std::string& msg) {
-    return InvalidArgument("kir lex error at line " + std::to_string(line_) +
-                           ": " + msg);
+  /// False at a lex error, kept in status_.
+  bool Lex(Token* tok) {
+    SkipWhitespaceAndComments();
+    if (pos_ >= text_.size()) return true;  // kEof
+    const char c = text_[pos_];
+    tok->line = line_;
+    if (c == '%' || c == '@') {
+      ++pos_;
+      tok->kind = c == '%' ? TokKind::kLocal : TokKind::kGlobal;
+      tok->text = LexIdentBody();
+      if (tok->text.empty()) return Error("empty name after sigil");
+    } else if (IsClass(c, kIdentStart)) {
+      tok->kind = TokKind::kIdent;
+      tok->text = LexIdentBody();
+    } else if (IsClass(c, kDigit) || c == '-') {
+      return LexNumber(tok);
+    } else if (c == '"') {
+      return LexString(tok);
+    } else if (IsClass(c, kPunctChar)) {
+      tok->kind = TokKind::kPunct;
+      tok->punct = c;
+      ++pos_;
+    } else {
+      return Error(std::string("unexpected character '") + c + "'");
+    }
+    return true;
   }
 
+  bool Error(const std::string& msg) {
+    status_ = InvalidArgument("kir lex error at line " +
+                              std::to_string(line_) + ": " + msg);
+    return false;
+  }
+
+  // The scanning loops keep the position in a local: stores through a
+  // member would have to be redone after every char load.
   void SkipWhitespaceAndComments() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
+    size_t pos = pos_;
+    int line = line_;
+    while (pos < text_.size()) {
+      const char c = text_[pos];
       if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
+        ++line;
+        ++pos;
+      } else if (IsClass(c, kSpace)) {
+        ++pos;
       } else if (c == ';') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '-' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '>') {
-        // handled by caller as arrow; but we lex it here for simplicity
-        break;
+        while (pos < text_.size() && text_[pos] != '\n') ++pos;
       } else {
         break;
       }
     }
+    pos_ = pos;
+    line_ = line;
   }
 
-  std::string LexIdentBody() {
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '.' || c == '$') {
-        out.push_back(c);
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    return out;
+  std::string_view LexIdentBody() {
+    const size_t start = pos_;
+    size_t pos = start;
+    while (pos < text_.size() && IsClass(text_[pos], kIdentBody)) ++pos;
+    pos_ = pos;
+    return text_.substr(start, pos - start);
   }
 
-  Result<Token> LexNumber() {
-    // '-' might start "->" (arrow) instead of a negative number.
-    if (text_[pos_] == '-') {
-      if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-        pos_ += 2;
-        return Token{TokKind::kArrow, "->", 0, line_};
-      }
+  /// A number, or the "->" arrow that also starts with '-'. Hex digits are
+  /// consumed in either base, but a decimal number's value stops at its
+  /// first non-decimal digit; values saturate at 2^64-1.
+  bool LexNumber(Token* tok) {
+    size_t pos = pos_;
+    if (text_[pos] == '-' && pos + 1 < text_.size() && text_[pos + 1] == '>') {
+      pos_ = pos + 2;
+      tok->kind = TokKind::kArrow;
+      return true;
     }
-    bool negative = false;
-    size_t start = pos_;
-    if (text_[pos_] == '-') {
-      negative = true;
-      ++pos_;
-    }
-    int base = 10;
-    if (pos_ + 1 < text_.size() && text_[pos_] == '0' &&
-        (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
+    const bool negative = text_[pos] == '-';
+    if (negative) ++pos;
+    unsigned base = 10;
+    if (pos + 1 < text_.size() && text_[pos] == '0' &&
+        (text_[pos + 1] == 'x' || text_[pos + 1] == 'X')) {
       base = 16;
-      pos_ += 2;
+      pos += 2;
     }
-    std::string digits;
-    while (pos_ < text_.size() &&
-           (std::isxdigit(static_cast<unsigned char>(text_[pos_])) ||
-            (base == 16 && text_[pos_] == '_'))) {
-      if (text_[pos_] != '_') digits.push_back(text_[pos_]);
-      ++pos_;
+    uint64_t magnitude = 0;
+    bool any_digit = false;
+    bool value_done = false;  // a decimal number met a hex letter
+    while (pos < text_.size()) {
+      const char c = text_[pos];
+      if (base == 16 && c == '_') {
+        ++pos;
+        continue;
+      }
+      if (!IsClass(c, kXDigit)) break;
+      ++pos;
+      any_digit = true;
+      const bool decimal = IsClass(c, kDigit);
+      if (value_done || (base == 10 && !decimal)) {
+        value_done = true;
+        continue;
+      }
+      const uint64_t digit = decimal               ? c - '0'
+                             : (c >= 'a' && c <= 'f') ? c - 'a' + 10
+                                                      : c - 'A' + 10;
+      if (__builtin_mul_overflow(magnitude, base, &magnitude) ||
+          __builtin_add_overflow(magnitude, digit, &magnitude)) {
+        magnitude = UINT64_MAX;
+      }
     }
-    if (digits.empty()) {
-      pos_ = start;
-      return Error("malformed number");
-    }
-    const uint64_t magnitude = std::strtoull(digits.c_str(), nullptr, base);
-    const uint64_t value =
-        negative ? static_cast<uint64_t>(-static_cast<int64_t>(magnitude))
-                 : magnitude;
-    return Token{TokKind::kInt, "", value, line_};
+    pos_ = pos;
+    if (!any_digit) return Error("malformed number");
+    tok->kind = TokKind::kInt;
+    tok->int_value = negative ? 0 - magnitude : magnitude;
+    return true;
   }
 
-  Result<Token> LexString() {
-    ++pos_;  // opening quote
-    std::string body;
+  bool LexString(Token* tok) {
+    const size_t start = ++pos_;  // past the opening quote
     while (pos_ < text_.size() && text_[pos_] != '"') {
       if (text_[pos_] == '\n') return Error("unterminated string");
-      body.push_back(text_[pos_]);
       ++pos_;
     }
     if (pos_ >= text_.size()) return Error("unterminated string");
+    tok->kind = TokKind::kString;
+    tok->text = text_.substr(start, pos_ - start);
     ++pos_;  // closing quote
-    return Token{TokKind::kString, std::move(body), 0, line_};
+    return true;
   }
 
   std::string_view text_;
   size_t pos_ = 0;
   int line_ = 1;
+  Status status_;
+};
+
+// ------------------------------------------------------------- keywords --
+
+/// Instruction, icmp-predicate and type keywords in one table.
+enum class KeywordKind : uint8_t { kOpcode, kPred, kType };
+
+struct Keyword {
+  std::string_view name;
+  KeywordKind kind;
+  uint8_t code;  // an Opcode, ICmpPred or Type, by kind
+};
+
+constexpr Keyword Op(std::string_view name, Opcode op) {
+  return {name, KeywordKind::kOpcode, static_cast<uint8_t>(op)};
+}
+constexpr Keyword Pred(std::string_view name, ICmpPred pred) {
+  return {name, KeywordKind::kPred, static_cast<uint8_t>(pred)};
+}
+constexpr Keyword Ty(Type type) {
+  return {TypeName(type), KeywordKind::kType, static_cast<uint8_t>(type)};
+}
+
+constexpr Keyword kKeywords[] = {
+    Op("alloca", Opcode::kAlloca),     Op("load", Opcode::kLoad),
+    Op("store", Opcode::kStore),       Op("gep", Opcode::kGep),
+    Op("add", Opcode::kAdd),           Op("sub", Opcode::kSub),
+    Op("mul", Opcode::kMul),           Op("udiv", Opcode::kUDiv),
+    Op("sdiv", Opcode::kSDiv),         Op("urem", Opcode::kURem),
+    Op("srem", Opcode::kSRem),         Op("and", Opcode::kAnd),
+    Op("or", Opcode::kOr),             Op("xor", Opcode::kXor),
+    Op("shl", Opcode::kShl),           Op("lshr", Opcode::kLShr),
+    Op("ashr", Opcode::kAShr),         Op("icmp", Opcode::kICmp),
+    Op("zext", Opcode::kZExt),         Op("sext", Opcode::kSExt),
+    Op("trunc", Opcode::kTrunc),       Op("ptrtoint", Opcode::kPtrToInt),
+    Op("inttoptr", Opcode::kIntToPtr), Op("br", Opcode::kBr),
+    Op("jmp", Opcode::kJmp),           Op("ret", Opcode::kRet),
+    Op("phi", Opcode::kPhi),           Op("select", Opcode::kSelect),
+    Op("call", Opcode::kCall),         Op("funcaddr", Opcode::kFuncAddr),
+    Op("icall", Opcode::kCallIndirect), Op("asm", Opcode::kInlineAsm),
+    Pred("eq", ICmpPred::kEq),         Pred("ne", ICmpPred::kNe),
+    Pred("ult", ICmpPred::kULt),       Pred("ule", ICmpPred::kULe),
+    Pred("ugt", ICmpPred::kUGt),       Pred("uge", ICmpPred::kUGe),
+    Pred("slt", ICmpPred::kSLt),       Pred("sle", ICmpPred::kSLe),
+    Pred("sgt", ICmpPred::kSGt),       Pred("sge", ICmpPred::kSGe),
+    Ty(Type::kVoid),                   Ty(Type::kI1),
+    Ty(Type::kI8),                     Ty(Type::kI16),
+    Ty(Type::kI32),                    Ty(Type::kI64),
+    Ty(Type::kPtr),
+};
+
+constexpr size_t kKeywordSlots = 128;  // power of two, over twice the table
+
+constexpr size_t KeywordHash(std::string_view name) {
+  size_t hash = name.size();
+  for (char c : name) hash = hash * 31 + static_cast<unsigned char>(c);
+  return hash & (kKeywordSlots - 1);
+}
+
+/// Open-addressing index into kKeywords: slot -> entry + 1, 0 when empty.
+constexpr std::array<uint8_t, kKeywordSlots> MakeKeywordIndex() {
+  std::array<uint8_t, kKeywordSlots> index{};
+  for (size_t i = 0; i < std::size(kKeywords); ++i) {
+    size_t slot = KeywordHash(kKeywords[i].name);
+    while (index[slot] != 0) slot = (slot + 1) & (kKeywordSlots - 1);
+    index[slot] = static_cast<uint8_t>(i + 1);
+  }
+  return index;
+}
+
+constexpr std::array<uint8_t, kKeywordSlots> kKeywordIndex = MakeKeywordIndex();
+static_assert(2 * std::size(kKeywords) <= kKeywordSlots);
+
+/// The code of keyword `name` if it is of `kind`, else -1.
+int FindKeyword(std::string_view name, KeywordKind kind) {
+  for (size_t slot = KeywordHash(name); kKeywordIndex[slot] != 0;
+       slot = (slot + 1) & (kKeywordSlots - 1)) {
+    const Keyword& keyword = kKeywords[kKeywordIndex[slot] - 1];
+    if (SameName(keyword.name, name)) {
+      return keyword.kind == kind ? keyword.code : -1;
+    }
+  }
+  return -1;
+}
+
+// ------------------------------------------------------------ name maps --
+
+/// Open-addressing map from a name to `T*`. Keys are views (into the source
+/// or into a value's own name), so neither lookups nor inserts copy a name.
+template <typename T>
+class ViewMap {
+ public:
+  /// Empty the map, sized for `expected` names without growing.
+  void Reset(size_t expected) {
+    size_t capacity = 16;
+    while (capacity < expected * 2) capacity *= 2;
+    slots_.assign(capacity, Slot{});
+    count_ = 0;
+  }
+
+  T* Find(std::string_view name) const { return slots_[Probe(name)].value; }
+
+  /// Insert, or overwrite the value already held under `name`.
+  void Set(std::string_view name, T* value) {
+    if ((count_ + 1) * 2 > slots_.size()) Grow();
+    Slot& slot = slots_[Probe(name)];
+    if (slot.value == nullptr) ++count_;
+    slot = {name, value};
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;
+    T* value = nullptr;
+  };
+
+  /// FNV-1a: names are a few bytes, where it beats a block hash.
+  static size_t Hash(std::string_view name) {
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (char c : name) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    return static_cast<size_t>(hash);
+  }
+
+  size_t Probe(std::string_view name) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash(name) & mask;
+    while (slots_[i].value != nullptr && !SameName(slots_[i].name, name)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    for (const Slot& slot : old) {
+      if (slot.value != nullptr) slots_[Probe(slot.name)] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(16);
+  size_t count_ = 0;
 };
 
 // --------------------------------------------------------------- parser --
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(Lexer& lexer) : lexer_(lexer) { tokens_.reserve(256); }
 
   Result<std::unique_ptr<Module>> Run() {
     KOP_RETURN_IF_ERROR(ExpectIdent("module"));
-    auto name = ExpectString();
-    if (!name.ok()) return name.status();
-    module_ = std::make_unique<Module>(*name);
+    std::string_view name;
+    KOP_RETURN_IF_ERROR(ExpectString(&name));
+    module_ = std::make_unique<Module>(std::string(name));
 
     while (!AtEof()) {
+      // The window holds one top-level item at a time.
+      tokens_.erase(tokens_.begin(), tokens_.begin() + pos_);
+      pos_ = 0;
       if (PeekIdent("global")) {
         KOP_RETURN_IF_ERROR(ParseGlobal());
       } else if (PeekIdent("extern")) {
@@ -194,25 +408,58 @@ class Parser {
   }
 
  private:
+  /// An operand before it joins an instruction: a value, or the name of a
+  /// local defined further down (patched at the end of the function).
+  struct Operand {
+    Value* value = nullptr;
+    std::string_view forward;
+  };
+
+  struct Pending {
+    Instruction* inst;
+    size_t index;
+    std::string_view name;
+  };
+
   // --- token helpers ---
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = pos_ + ahead;
+
+  /// Token `i` of the window, lexed on demand; every index past the end of
+  /// the text reads the final EOF token. The reference is good until the
+  /// next call lexes.
+  const Token& At(size_t i) {
+    return i < tokens_.size() ? tokens_[i] : LexUpTo(i);
+  }
+  [[gnu::noinline]] const Token& LexUpTo(size_t i) {
+    while (i >= tokens_.size() &&
+           (tokens_.empty() || tokens_.back().kind != TokKind::kEof)) {
+      lexer_.Next(&tokens_.emplace_back());
+    }
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
-  Token Take() { return tokens_[pos_ < tokens_.size() - 1 ? pos_++ : pos_]; }
-  bool AtEof() const { return Peek().kind == TokKind::kEof; }
+  const Token& Peek(size_t ahead = 0) { return At(pos_ + ahead); }
+  const Token& Take() {
+    const Token& tok = At(pos_);
+    if (tok.kind != TokKind::kEof) ++pos_;
+    return tok;
+  }
+  bool AtEof() { return Peek().kind == TokKind::kEof; }
 
-  Status Err(const std::string& msg) const {
-    return InvalidArgument("kir parse error at line " +
-                           std::to_string(Peek().line) + ": " + msg);
+  Status Err(std::string_view msg) {
+    std::string text = "kir parse error at line ";
+    text += std::to_string(Peek().line);
+    text += ": ";
+    text += msg;
+    return InvalidArgument(std::move(text));
   }
 
-  bool PeekIdent(std::string_view ident) const {
-    return Peek().kind == TokKind::kIdent && Peek().text == ident;
+  static bool IsPunct(const Token& tok, char c) {
+    return tok.kind == TokKind::kPunct && tok.punct == c;
   }
-  bool PeekPunct(char c) const {
-    return Peek().kind == TokKind::kPunct && Peek().text[0] == c;
+  bool PeekIdent(std::string_view ident) {
+    const Token& tok = Peek();
+    return tok.kind == TokKind::kIdent && SameName(tok.text, ident);
   }
+  bool PeekPunct(char c) { return IsPunct(Peek(), c); }
 
   Status ExpectIdent(std::string_view ident) {
     if (!PeekIdent(ident)) return Err("expected '" + std::string(ident) + "'");
@@ -229,42 +476,46 @@ class Parser {
     Take();
     return OkStatus();
   }
-  Result<std::string> ExpectString() {
-    if (Peek().kind != TokKind::kString) return Err("expected string literal");
-    return Take().text;
+  Status ExpectText(TokKind kind, std::string_view what,
+                    std::string_view* out) {
+    if (Peek().kind != kind) return Err(what);
+    *out = Take().text;
+    return OkStatus();
   }
-  Result<uint64_t> ExpectInt() {
+  Status ExpectString(std::string_view* out) {
+    return ExpectText(TokKind::kString, "expected string literal", out);
+  }
+  Status ExpectAnyIdent(std::string_view* out) {
+    return ExpectText(TokKind::kIdent, "expected identifier", out);
+  }
+  Status ExpectLocal(std::string_view* out) {
+    return ExpectText(TokKind::kLocal, "expected %name", out);
+  }
+  Status ExpectGlobalName(std::string_view* out) {
+    return ExpectText(TokKind::kGlobal, "expected @name", out);
+  }
+  Status ExpectInt(uint64_t* out) {
     if (Peek().kind != TokKind::kInt) return Err("expected integer");
-    return Take().int_value;
+    *out = Take().int_value;
+    return OkStatus();
   }
-  Result<std::string> ExpectAnyIdent() {
-    if (Peek().kind != TokKind::kIdent) return Err("expected identifier");
-    return Take().text;
-  }
-  Result<std::string> ExpectLocal() {
-    if (Peek().kind != TokKind::kLocal) return Err("expected %name");
-    return Take().text;
-  }
-  Result<std::string> ExpectGlobalName() {
-    if (Peek().kind != TokKind::kGlobal) return Err("expected @name");
-    return Take().text;
-  }
-  Result<Type> ExpectType() {
+  Status ExpectType(Type* out) {
     if (Peek().kind != TokKind::kIdent) return Err("expected a type");
-    auto type = ParseTypeName(Peek().text);
-    if (!type) return Err("unknown type '" + Peek().text + "'");
+    const int type = FindKeyword(Peek().text, KeywordKind::kType);
+    if (type < 0) return Err("unknown type '" + std::string(Peek().text) + "'");
     Take();
-    return *type;
+    *out = static_cast<Type>(type);
+    return OkStatus();
   }
 
   // --- top-level items ---
   Status ParseGlobal() {
     Take();  // 'global'
-    auto name = ExpectGlobalName();
-    if (!name.ok()) return name.status();
+    std::string_view name;
+    KOP_RETURN_IF_ERROR(ExpectGlobalName(&name));
     KOP_RETURN_IF_ERROR(ExpectIdent("size"));
-    auto size = ExpectInt();
-    if (!size.ok()) return size.status();
+    uint64_t size = 0;
+    KOP_RETURN_IF_ERROR(ExpectInt(&size));
     bool writable;
     if (PeekIdent("rw")) {
       writable = true;
@@ -281,42 +532,48 @@ class Parser {
       // init x"<hex>"
       if (!PeekIdent("x")) return Err("expected x\"...\" after init");
       Take();
-      auto hex = ExpectString();
-      if (!hex.ok()) return hex.status();
-      if (hex->size() % 2 != 0) return Err("odd-length hex init");
-      for (size_t i = 0; i < hex->size(); i += 2) {
-        auto nibble = [&](char c) -> int {
-          if (c >= '0' && c <= '9') return c - '0';
-          if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-          if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-          return -1;
-        };
-        const int hi = nibble((*hex)[i]);
-        const int lo = nibble((*hex)[i + 1]);
+      std::string_view hex;
+      KOP_RETURN_IF_ERROR(ExpectString(&hex));
+      if (hex.size() % 2 != 0) return Err("odd-length hex init");
+      init.reserve(hex.size() / 2);
+      auto nibble = [](char c) -> int {
+        if (c >= '0' && c <= '9') return c - '0';
+        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+        return -1;
+      };
+      for (size_t i = 0; i < hex.size(); i += 2) {
+        const int hi = nibble(hex[i]);
+        const int lo = nibble(hex[i + 1]);
         if (hi < 0 || lo < 0) return Err("bad hex digit in init");
         init.push_back(static_cast<char>((hi << 4) | lo));
       }
-      if (init.size() > *size) return Err("init longer than global size");
+      if (init.size() > size) return Err("init longer than global size");
     }
-    if (module_->AddGlobal(*name, *size, writable, std::move(init)) ==
-        nullptr) {
-      return Err("duplicate global @" + *name);
+    if (module_->AddGlobal(std::string(name), size, writable,
+                           std::move(init)) == nullptr) {
+      return Err("duplicate global @" + std::string(name));
     }
     return OkStatus();
   }
 
-  Status ParseExtern() {
-    Take();  // 'extern'
-    KOP_RETURN_IF_ERROR(ExpectIdent("func"));
-    auto name = ExpectGlobalName();
-    if (!name.ok()) return name.status();
+  /// `( params ) -> type`; named params for definitions, bare types for
+  /// declarations (which get the names a0, a1, ...).
+  Status ParseSignature(bool named,
+                        std::vector<std::pair<Type, std::string>>* params,
+                        Type* ret) {
     KOP_RETURN_IF_ERROR(ExpectPunct('('));
-    std::vector<std::pair<Type, std::string>> params;
     if (!PeekPunct(')')) {
       while (true) {
-        auto type = ExpectType();
-        if (!type.ok()) return type.status();
-        params.emplace_back(*type, "a" + std::to_string(params.size()));
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        if (named) {
+          std::string_view param;
+          KOP_RETURN_IF_ERROR(ExpectLocal(&param));
+          params->emplace_back(type, std::string(param));
+        } else {
+          params->emplace_back(type, "a" + std::to_string(params->size()));
+        }
         if (PeekPunct(',')) {
           Take();
           continue;
@@ -326,78 +583,76 @@ class Parser {
     }
     KOP_RETURN_IF_ERROR(ExpectPunct(')'));
     KOP_RETURN_IF_ERROR(ExpectArrow());
-    auto ret = ExpectType();
-    if (!ret.ok()) return ret.status();
-    if (module_->CreateFunction(*name, *ret, std::move(params),
+    return ExpectType(ret);
+  }
+
+  Status ParseExtern() {
+    Take();  // 'extern'
+    KOP_RETURN_IF_ERROR(ExpectIdent("func"));
+    std::string_view name;
+    KOP_RETURN_IF_ERROR(ExpectGlobalName(&name));
+    std::vector<std::pair<Type, std::string>> params;
+    Type ret;
+    KOP_RETURN_IF_ERROR(ParseSignature(/*named=*/false, &params, &ret));
+    if (module_->CreateFunction(std::string(name), ret, std::move(params),
                                 /*is_external=*/true) == nullptr) {
-      return Err("duplicate function @" + *name);
+      return Err("duplicate function @" + std::string(name));
     }
     return OkStatus();
   }
 
   Status ParseFunction() {
     Take();  // 'func'
-    auto name = ExpectGlobalName();
-    if (!name.ok()) return name.status();
-    KOP_RETURN_IF_ERROR(ExpectPunct('('));
+    std::string_view name;
+    KOP_RETURN_IF_ERROR(ExpectGlobalName(&name));
     std::vector<std::pair<Type, std::string>> params;
-    if (!PeekPunct(')')) {
-      while (true) {
-        auto type = ExpectType();
-        if (!type.ok()) return type.status();
-        auto param = ExpectLocal();
-        if (!param.ok()) return param.status();
-        params.emplace_back(*type, *param);
-        if (PeekPunct(',')) {
-          Take();
-          continue;
-        }
-        break;
-      }
-    }
-    KOP_RETURN_IF_ERROR(ExpectPunct(')'));
-    KOP_RETURN_IF_ERROR(ExpectArrow());
-    auto ret = ExpectType();
-    if (!ret.ok()) return ret.status();
+    Type ret;
+    KOP_RETURN_IF_ERROR(ParseSignature(/*named=*/true, &params, &ret));
 
-    Function* fn = module_->CreateFunction(*name, *ret, params,
+    Function* fn = module_->CreateFunction(std::string(name), ret,
+                                           std::move(params),
                                            /*is_external=*/false);
-    if (fn == nullptr) return Err("duplicate function @" + *name);
+    if (fn == nullptr) return Err("duplicate function @" + std::string(name));
     KOP_RETURN_IF_ERROR(ExpectPunct('{'));
 
-    // Pre-scan for labels (ident ':') so blocks exist in source order and
-    // branch targets resolve forward.
-    size_t scan = pos_;
+    // Pre-scan the body for labels (ident ':') so blocks exist in source
+    // order and branch targets resolve forward; count the definitions so
+    // the local map is sized once.
+    size_t defs = fn->arg_count();
+    labels_.Reset(8);
     int depth = 1;
-    while (scan < tokens_.size() && depth > 0) {
-      const Token& tok = tokens_[scan];
-      if (tok.kind == TokKind::kPunct && tok.text[0] == '{') ++depth;
-      if (tok.kind == TokKind::kPunct && tok.text[0] == '}') --depth;
-      if (depth > 0 && tok.kind == TokKind::kIdent && scan + 1 < tokens_.size() &&
-          tokens_[scan + 1].kind == TokKind::kPunct &&
-          tokens_[scan + 1].text[0] == ':') {
-        if (fn->FindBlock(tok.text) != nullptr) {
-          return Err("duplicate label '" + tok.text + "'");
+    for (size_t scan = pos_; depth > 0; ++scan) {
+      const Token& tok = At(scan);
+      const TokKind kind = tok.kind;
+      if (kind == TokKind::kEof) break;
+      if (IsPunct(tok, '{')) ++depth;
+      if (IsPunct(tok, '}')) --depth;
+      if (depth == 0) continue;
+      if (kind != TokKind::kIdent && kind != TokKind::kLocal) continue;
+      const std::string_view name = tok.text;  // lexing `next` may move tok
+      const Token& next = At(scan + 1);
+      if (kind == TokKind::kIdent && IsPunct(next, ':')) {
+        if (labels_.Find(name) != nullptr) {
+          return Err("duplicate label '" + std::string(name) + "'");
         }
-        fn->CreateBlock(tok.text);
+        labels_.Set(name, fn->CreateBlock(std::string(name)));
+      } else if (kind == TokKind::kLocal && IsPunct(next, '=')) {
+        ++defs;
       }
-      ++scan;
     }
     if (fn->blocks().empty()) return Err("function has no blocks");
 
     // Value environment: arguments first.
-    locals_.clear();
+    locals_.Reset(defs);
     pending_.clear();
-    for (auto& arg : fn->args()) locals_[arg->name()] = arg.get();
+    for (auto& arg : fn->args()) locals_.Set(arg->name(), arg.get());
 
     BasicBlock* current = nullptr;
     while (!PeekPunct('}')) {
       if (AtEof()) return Err("unexpected end of input inside function");
-      if (Peek().kind == TokKind::kIdent && Peek(1).kind == TokKind::kPunct &&
-          Peek(1).text[0] == ':') {
-        std::string label = Take().text;
+      if (Peek().kind == TokKind::kIdent && IsPunct(Peek(1), ':')) {
+        current = labels_.Find(Take().text);
         Take();  // ':'
-        current = fn->FindBlock(label);
         continue;
       }
       if (current == nullptr) return Err("instruction before first label");
@@ -406,371 +661,385 @@ class Parser {
     Take();  // '}'
 
     // Patch forward references to locals (phis).
-    for (auto& [inst, index, ref_name] : pending_) {
-      auto it = locals_.find(ref_name);
-      if (it == locals_.end()) {
+    for (const Pending& patch : pending_) {
+      Value* value = locals_.Find(patch.name);
+      if (value == nullptr) {
         return InvalidArgument("kir parse error: undefined value %" +
-                               ref_name + " in @" + fn->name());
+                               std::string(patch.name) + " in @" +
+                               fn->name());
       }
-      inst->SetOperand(index, it->second);
+      patch.inst->SetOperand(patch.index, value);
     }
     return OkStatus();
   }
 
   // --- instruction parsing ---
 
-  /// Parse an operand of known type. May leave a pending patch when the
-  /// operand is a local defined later (legal only in phis, verified later).
-  Status ParseOperand(Type type, Instruction* inst) {
+  Status ParseOperand(Type type, Operand* out) {
     const Token& tok = Peek();
     if (tok.kind == TokKind::kInt) {
       Take();
-      inst->AddOperand(module_->GetConstant(type, tok.int_value));
+      out->value = module_->GetConstant(type, tok.int_value);
       return OkStatus();
     }
     if (tok.kind == TokKind::kLocal) {
       Take();
-      auto it = locals_.find(tok.text);
-      if (it != locals_.end()) {
-        inst->AddOperand(it->second);
-      } else {
-        inst->AddOperand(nullptr);
-        pending_.emplace_back(inst, inst->operand_count() - 1, tok.text);
-      }
+      out->value = locals_.Find(tok.text);
+      out->forward = tok.text;
       return OkStatus();
     }
     if (tok.kind == TokKind::kGlobal) {
       Take();
       GlobalVariable* global = module_->FindGlobal(tok.text);
-      if (global == nullptr) return Err("undefined global @" + tok.text);
-      inst->AddOperand(global);
+      if (global == nullptr) {
+        return Err("undefined global @" + std::string(tok.text));
+      }
+      out->value = global;
       return OkStatus();
     }
     return Err("expected operand");
   }
 
-  Result<BasicBlock*> ParseLabelRef(Function* fn) {
-    auto label = ExpectAnyIdent();
-    if (!label.ok()) return label.status();
-    BasicBlock* block = fn->FindBlock(*label);
-    if (block == nullptr) return Err("unknown label '" + *label + "'");
-    return block;
-  }
-
-  static std::optional<Opcode> BinOpFromName(const std::string& name) {
-    static const std::unordered_map<std::string, Opcode> kMap = {
-        {"add", Opcode::kAdd},   {"sub", Opcode::kSub},
-        {"mul", Opcode::kMul},   {"udiv", Opcode::kUDiv},
-        {"sdiv", Opcode::kSDiv}, {"urem", Opcode::kURem},
-        {"srem", Opcode::kSRem}, {"and", Opcode::kAnd},
-        {"or", Opcode::kOr},     {"xor", Opcode::kXor},
-        {"shl", Opcode::kShl},   {"lshr", Opcode::kLShr},
-        {"ashr", Opcode::kAShr},
-    };
-    auto it = kMap.find(name);
-    return it == kMap.end() ? std::nullopt : std::make_optional(it->second);
-  }
-
-  static std::optional<ICmpPred> PredFromName(const std::string& name) {
-    static const std::unordered_map<std::string, ICmpPred> kMap = {
-        {"eq", ICmpPred::kEq},   {"ne", ICmpPred::kNe},
-        {"ult", ICmpPred::kULt}, {"ule", ICmpPred::kULe},
-        {"ugt", ICmpPred::kUGt}, {"uge", ICmpPred::kUGe},
-        {"slt", ICmpPred::kSLt}, {"sle", ICmpPred::kSLe},
-        {"sgt", ICmpPred::kSGt}, {"sge", ICmpPred::kSGe},
-    };
-    auto it = kMap.find(name);
-    return it == kMap.end() ? std::nullopt : std::make_optional(it->second);
-  }
-
-  Status DefineLocal(const std::string& name, Instruction* inst) {
-    if (locals_.count(name)) return Err("redefinition of %" + name);
-    // Keep the function's temp-id counter ahead of explicit %tN names so
-    // pass-inserted temporaries never collide with parsed ones.
-    if (name.size() > 1 && name[0] == 't' &&
-        name.find_first_not_of("0123456789", 1) == std::string::npos) {
-      inst->parent()->parent()->ReserveTempId(
-          static_cast<unsigned>(std::strtoul(name.c_str() + 1, nullptr, 10)));
+  /// Append `operand` to `inst`, leaving a pending patch for a local
+  /// defined later (legal only in phis; the verifier rejects the rest).
+  void AddOperand(Instruction* inst, const Operand& operand) {
+    inst->AddOperand(operand.value);
+    if (operand.value == nullptr) {
+      pending_.push_back({inst, inst->operand_count() - 1, operand.forward});
     }
-    inst->set_name(name);
-    locals_[name] = inst;
+  }
+
+  Status ParseOperandInto(Type type, Instruction* inst) {
+    Operand operand;
+    KOP_RETURN_IF_ERROR(ParseOperand(type, &operand));
+    AddOperand(inst, operand);
     return OkStatus();
   }
 
-  Status ParseInstruction(Function* fn, BasicBlock* block) {
-    // Form 1: "%name = op ..."; Form 2: "op ..." (void ops).
-    std::string def_name;
-    if (Peek().kind == TokKind::kLocal) {
-      def_name = Take().text;
-      KOP_RETURN_IF_ERROR(ExpectPunct('='));
-    }
-    auto op_name = ExpectAnyIdent();
-    if (!op_name.ok()) return op_name.status();
-    const std::string& op = *op_name;
+  Status ParseLabelRef(BasicBlock** out) {
+    std::string_view label;
+    KOP_RETURN_IF_ERROR(ExpectAnyIdent(&label));
+    *out = labels_.Find(label);
+    if (*out == nullptr) return Err("unknown label '" + std::string(label) + "'");
+    return OkStatus();
+  }
 
-    auto finish = [&](std::unique_ptr<Instruction> inst) -> Status {
-      Instruction* raw = block->Append(std::move(inst));
-      if (!def_name.empty()) {
-        if (raw->type() == Type::kVoid) {
-          return Err("cannot name a void-valued instruction");
-        }
-        return DefineLocal(def_name, raw);
+  /// Arguments of a call whose '(' was just taken: the count before the
+  /// matching ')' (or the end of the token run).
+  size_t CountCallArgs() {
+    if (PeekPunct(')')) return 0;
+    size_t count = 1;
+    for (size_t i = pos_;; ++i) {
+      const Token& tok = At(i);
+      if (tok.kind == TokKind::kEof || IsPunct(tok, ')') || IsPunct(tok, '}')) {
+        break;
       }
-      if (raw->type() != Type::kVoid) {
-        if (raw->opcode() != Opcode::kCall &&
-            raw->opcode() != Opcode::kCallIndirect) {
-          return Err("value-producing instruction must be named");
-        }
-        // A call whose result is discarded still needs a printable name.
-        std::string auto_name;
-        do {
-          auto_name = "t" + std::to_string(fn->TakeNextTempId());
-        } while (locals_.count(auto_name));
-        raw->set_name(auto_name);
-        locals_[auto_name] = raw;
-      }
-      return OkStatus();
-    };
+      if (IsPunct(tok, ',')) ++count;
+    }
+    return count;
+  }
 
-    if (op == "alloca") {
-      auto size = ExpectInt();
-      if (!size.ok()) return size.status();
-      auto inst = std::make_unique<Instruction>(Opcode::kAlloca, Type::kPtr, "");
-      inst->set_alloca_size(*size);
-      return finish(std::move(inst));
+  /// Incoming pairs of a phi at `[ v , label ]`, each 5 tokens, joined by
+  /// ','.
+  size_t CountPhiIncoming() {
+    size_t count = 0;
+    for (size_t i = pos_; IsPunct(At(i), '['); i += 6) {
+      ++count;
+      if (!IsPunct(At(i + 5), ',')) break;
     }
-    if (op == "load") {
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto inst = std::make_unique<Instruction>(Opcode::kLoad, *type, "");
-      inst->set_memory_type(*type);
-      KOP_RETURN_IF_ERROR(ParseOperand(Type::kPtr, inst.get()));
-      return finish(std::move(inst));
-    }
-    if (op == "store") {
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto inst = std::make_unique<Instruction>(Opcode::kStore, Type::kVoid, "");
-      inst->set_memory_type(*type);
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      KOP_RETURN_IF_ERROR(ParseOperand(Type::kPtr, inst.get()));
-      return finish(std::move(inst));
-    }
-    if (op == "gep") {
-      auto inst = std::make_unique<Instruction>(Opcode::kGep, Type::kPtr, "");
-      KOP_RETURN_IF_ERROR(ParseOperand(Type::kPtr, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto index_type = ExpectType();
-      if (!index_type.ok()) return index_type.status();
-      KOP_RETURN_IF_ERROR(ParseOperand(*index_type, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto scale = ExpectInt();
-      if (!scale.ok()) return scale.status();
-      inst->set_gep_scale(*scale);
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto offset = ExpectInt();
-      if (!offset.ok()) return offset.status();
-      inst->set_gep_offset(*offset);
-      return finish(std::move(inst));
-    }
-    if (auto binop = BinOpFromName(op)) {
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto inst = std::make_unique<Instruction>(*binop, *type, "");
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-      return finish(std::move(inst));
-    }
-    if (op == "icmp") {
-      auto pred_name = ExpectAnyIdent();
-      if (!pred_name.ok()) return pred_name.status();
-      auto pred = PredFromName(*pred_name);
-      if (!pred) return Err("unknown icmp predicate '" + *pred_name + "'");
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto inst = std::make_unique<Instruction>(Opcode::kICmp, Type::kI1, "");
-      inst->set_icmp_pred(*pred);
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-      return finish(std::move(inst));
-    }
-    if (op == "zext" || op == "sext" || op == "trunc" ||
-        op == "ptrtoint" || op == "inttoptr") {
-      const Opcode opcode = op == "zext"       ? Opcode::kZExt
-                            : op == "sext"     ? Opcode::kSExt
-                            : op == "trunc"    ? Opcode::kTrunc
-                            : op == "ptrtoint" ? Opcode::kPtrToInt
-                                               : Opcode::kIntToPtr;
-      auto from = ExpectType();
-      if (!from.ok()) return from.status();
-      // Parse operand into a temp holder, then 'to TYPE'.
-      auto inst = std::make_unique<Instruction>(opcode, Type::kVoid, "");
-      KOP_RETURN_IF_ERROR(ParseOperand(*from, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectIdent("to"));
-      auto to = ExpectType();
-      if (!to.ok()) return to.status();
-      // Rebuild with the right result type (type is immutable on Value).
-      auto typed = std::make_unique<Instruction>(opcode, *to, "");
-      typed->AddOperand(inst->operand(0));
-      if (inst->operand(0) == nullptr && !pending_.empty() &&
-          std::get<0>(pending_.back()) == inst.get()) {
-        std::get<0>(pending_.back()) = typed.get();
-      }
-      return finish(std::move(typed));
-    }
-    if (op == "br") {
-      auto inst = std::make_unique<Instruction>(Opcode::kBr, Type::kVoid, "");
-      KOP_RETURN_IF_ERROR(ParseOperand(Type::kI1, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto t = ParseLabelRef(fn);
-      if (!t.ok()) return t.status();
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto f = ParseLabelRef(fn);
-      if (!f.ok()) return f.status();
-      inst->set_true_block(*t);
-      inst->set_false_block(*f);
-      return finish(std::move(inst));
-    }
-    if (op == "jmp") {
-      auto target = ParseLabelRef(fn);
-      if (!target.ok()) return target.status();
-      auto inst = std::make_unique<Instruction>(Opcode::kJmp, Type::kVoid, "");
-      inst->set_true_block(*target);
-      return finish(std::move(inst));
-    }
-    if (op == "ret") {
-      auto inst = std::make_unique<Instruction>(Opcode::kRet, Type::kVoid, "");
-      if (PeekIdent("void")) {
-        Take();
-      } else {
-        auto type = ExpectType();
-        if (!type.ok()) return type.status();
-        KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-      }
-      return finish(std::move(inst));
-    }
-    if (op == "phi") {
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto inst = std::make_unique<Instruction>(Opcode::kPhi, *type, "");
+    return count;
+  }
+
+  Status ParseCallArgs(Instruction* inst) {
+    KOP_RETURN_IF_ERROR(ExpectPunct('('));
+    inst->ReserveOperands(inst->operand_count() + CountCallArgs());
+    if (!PeekPunct(')')) {
       while (true) {
-        KOP_RETURN_IF_ERROR(ExpectPunct('['));
-        KOP_RETURN_IF_ERROR(ParseOperand(*type, inst.get()));
-        KOP_RETURN_IF_ERROR(ExpectPunct(','));
-        auto block = ParseLabelRef(fn);
-        if (!block.ok()) return block.status();
-        const_cast<std::vector<BasicBlock*>&>(inst->incoming_blocks())
-            .push_back(*block);
-        KOP_RETURN_IF_ERROR(ExpectPunct(']'));
+        Type arg_type;
+        KOP_RETURN_IF_ERROR(ExpectType(&arg_type));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(arg_type, inst));
         if (PeekPunct(',')) {
           Take();
           continue;
         }
         break;
       }
-      return finish(std::move(inst));
     }
-    if (op == "select") {
-      auto inst = std::make_unique<Instruction>(Opcode::kSelect, Type::kVoid, "");
-      KOP_RETURN_IF_ERROR(ParseOperand(Type::kI1, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto typed =
-          std::make_unique<Instruction>(Opcode::kSelect, *type, "");
-      typed->AddOperand(inst->operand(0));
-      if (inst->operand(0) == nullptr && !pending_.empty() &&
-          std::get<0>(pending_.back()) == inst.get()) {
-        std::get<0>(pending_.back()) = typed.get();
-      }
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, typed.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct(','));
-      KOP_RETURN_IF_ERROR(ParseOperand(*type, typed.get()));
-      return finish(std::move(typed));
-    }
-    if (op == "call") {
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto callee = ExpectGlobalName();
-      if (!callee.ok()) return callee.status();
-      auto inst = std::make_unique<Instruction>(Opcode::kCall, *type, "");
-      inst->set_callee(*callee);
-      KOP_RETURN_IF_ERROR(ExpectPunct('('));
-      if (!PeekPunct(')')) {
-        while (true) {
-          auto arg_type = ExpectType();
-          if (!arg_type.ok()) return arg_type.status();
-          KOP_RETURN_IF_ERROR(ParseOperand(*arg_type, inst.get()));
-          if (PeekPunct(',')) {
-            Take();
-            continue;
-          }
-          break;
-        }
-      }
-      KOP_RETURN_IF_ERROR(ExpectPunct(')'));
-      return finish(std::move(inst));
-    }
-    if (op == "funcaddr") {
-      auto callee = ExpectGlobalName();
-      if (!callee.ok()) return callee.status();
-      auto inst =
-          std::make_unique<Instruction>(Opcode::kFuncAddr, Type::kPtr, "");
-      inst->set_callee(*callee);
-      return finish(std::move(inst));
-    }
-    if (op == "icall") {
-      auto type = ExpectType();
-      if (!type.ok()) return type.status();
-      auto inst =
-          std::make_unique<Instruction>(Opcode::kCallIndirect, *type, "");
-      KOP_RETURN_IF_ERROR(ParseOperand(Type::kPtr, inst.get()));
-      KOP_RETURN_IF_ERROR(ExpectPunct('('));
-      if (!PeekPunct(')')) {
-        while (true) {
-          auto arg_type = ExpectType();
-          if (!arg_type.ok()) return arg_type.status();
-          KOP_RETURN_IF_ERROR(ParseOperand(*arg_type, inst.get()));
-          if (PeekPunct(',')) {
-            Take();
-            continue;
-          }
-          break;
-        }
-      }
-      KOP_RETURN_IF_ERROR(ExpectPunct(')'));
-      return finish(std::move(inst));
-    }
-    if (op == "asm") {
-      auto text = ExpectString();
-      if (!text.ok()) return text.status();
-      auto inst =
-          std::make_unique<Instruction>(Opcode::kInlineAsm, Type::kVoid, "");
-      inst->set_asm_text(*text);
-      return finish(std::move(inst));
-    }
-    return Err("unknown instruction '" + op + "'");
+    return ExpectPunct(')');
   }
 
-  std::vector<Token> tokens_;
+  /// Bind `name`, which the instruction already carries, to `inst`.
+  Status DefineLocal(std::string_view name, Instruction* inst) {
+    if (locals_.Find(name) != nullptr) {
+      return Err("redefinition of %" + std::string(name));
+    }
+    // Keep the function's temp-id counter ahead of explicit %tN names so
+    // pass-inserted temporaries never collide with parsed ones.
+    if (name.size() > 1 && name[0] == 't' &&
+        name.find_first_not_of("0123456789", 1) == std::string_view::npos) {
+      unsigned long id = 0;
+      if (std::from_chars(name.data() + 1, name.data() + name.size(), id).ec !=
+          std::errc()) {
+        id = ULONG_MAX;  // out of range saturates, as strtoul does
+      }
+      inst->parent()->parent()->ReserveTempId(static_cast<unsigned>(id));
+    }
+    locals_.Set(name, inst);
+    return OkStatus();
+  }
+
+  Status Finish(Function* fn, BasicBlock* block, std::string_view def_name,
+                std::unique_ptr<Instruction> inst) {
+    Instruction* raw = block->Append(std::move(inst));
+    if (!def_name.empty()) {
+      if (raw->type() == Type::kVoid) {
+        return Err("cannot name a void-valued instruction");
+      }
+      return DefineLocal(def_name, raw);
+    }
+    if (raw->type() != Type::kVoid) {
+      if (raw->opcode() != Opcode::kCall &&
+          raw->opcode() != Opcode::kCallIndirect) {
+        return Err("value-producing instruction must be named");
+      }
+      // A call whose result is discarded still needs a printable name.
+      std::string auto_name;
+      do {
+        auto_name = "t" + std::to_string(fn->TakeNextTempId());
+      } while (locals_.Find(auto_name) != nullptr);
+      raw->set_name(std::move(auto_name));
+      locals_.Set(raw->name(), raw);
+    }
+    return OkStatus();
+  }
+
+  Status ParseInstruction(Function* fn, BasicBlock* block) {
+    // Form 1: "%name = op ..."; Form 2: "op ..." (void ops).
+    std::string_view def_name;
+    if (Peek().kind == TokKind::kLocal) {
+      def_name = Take().text;
+      KOP_RETURN_IF_ERROR(ExpectPunct('='));
+    }
+    std::string_view op_name;
+    KOP_RETURN_IF_ERROR(ExpectAnyIdent(&op_name));
+    const int code = FindKeyword(op_name, KeywordKind::kOpcode);
+    if (code < 0) {
+      return Err("unknown instruction '" + std::string(op_name) + "'");
+    }
+    const auto opcode = static_cast<Opcode>(code);
+    std::unique_ptr<Instruction> inst;
+    const auto make = [&](Type type, size_t operands) {
+      auto made =
+          std::make_unique<Instruction>(opcode, type, std::string(def_name));
+      made->ReserveOperands(operands);
+      return made;
+    };
+
+    switch (opcode) {
+      case Opcode::kAlloca: {
+        uint64_t size = 0;
+        KOP_RETURN_IF_ERROR(ExpectInt(&size));
+        inst = make(Type::kPtr, 0);
+        inst->set_alloca_size(size);
+        break;
+      }
+      case Opcode::kLoad: {
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        inst = make(type, 1);
+        inst->set_memory_type(type);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(Type::kPtr, inst.get()));
+        break;
+      }
+      case Opcode::kStore: {
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        inst = make(Type::kVoid, 2);
+        inst->set_memory_type(type);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(Type::kPtr, inst.get()));
+        break;
+      }
+      case Opcode::kGep: {
+        inst = make(Type::kPtr, 2);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(Type::kPtr, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        Type index_type;
+        KOP_RETURN_IF_ERROR(ExpectType(&index_type));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(index_type, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        uint64_t scale = 0, offset = 0;
+        KOP_RETURN_IF_ERROR(ExpectInt(&scale));
+        inst->set_gep_scale(scale);
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        KOP_RETURN_IF_ERROR(ExpectInt(&offset));
+        inst->set_gep_offset(offset);
+        break;
+      }
+      case Opcode::kAdd: case Opcode::kSub: case Opcode::kMul:
+      case Opcode::kUDiv: case Opcode::kSDiv: case Opcode::kURem:
+      case Opcode::kSRem: case Opcode::kAnd: case Opcode::kOr:
+      case Opcode::kXor: case Opcode::kShl: case Opcode::kLShr:
+      case Opcode::kAShr: {
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        inst = make(type, 2);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        break;
+      }
+      case Opcode::kICmp: {
+        std::string_view pred_name;
+        KOP_RETURN_IF_ERROR(ExpectAnyIdent(&pred_name));
+        const int pred = FindKeyword(pred_name, KeywordKind::kPred);
+        if (pred < 0) {
+          return Err("unknown icmp predicate '" + std::string(pred_name) +
+                     "'");
+        }
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        inst = make(Type::kI1, 2);
+        inst->set_icmp_pred(static_cast<ICmpPred>(pred));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        break;
+      }
+      case Opcode::kZExt: case Opcode::kSExt: case Opcode::kTrunc:
+      case Opcode::kPtrToInt: case Opcode::kIntToPtr: {
+        // The result type follows the operand: "OP FROM v to TO".
+        Type from, to;
+        KOP_RETURN_IF_ERROR(ExpectType(&from));
+        Operand operand;
+        KOP_RETURN_IF_ERROR(ParseOperand(from, &operand));
+        KOP_RETURN_IF_ERROR(ExpectIdent("to"));
+        KOP_RETURN_IF_ERROR(ExpectType(&to));
+        inst = make(to, 1);
+        AddOperand(inst.get(), operand);
+        break;
+      }
+      case Opcode::kBr: {
+        inst = make(Type::kVoid, 1);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(Type::kI1, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        BasicBlock* on_true = nullptr;
+        BasicBlock* on_false = nullptr;
+        KOP_RETURN_IF_ERROR(ParseLabelRef(&on_true));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        KOP_RETURN_IF_ERROR(ParseLabelRef(&on_false));
+        inst->set_true_block(on_true);
+        inst->set_false_block(on_false);
+        break;
+      }
+      case Opcode::kJmp: {
+        BasicBlock* target = nullptr;
+        KOP_RETURN_IF_ERROR(ParseLabelRef(&target));
+        inst = make(Type::kVoid, 0);
+        inst->set_true_block(target);
+        break;
+      }
+      case Opcode::kRet: {
+        const bool is_void = PeekIdent("void");
+        inst = make(Type::kVoid, is_void ? 0 : 1);
+        if (is_void) {
+          Take();
+        } else {
+          Type type;
+          KOP_RETURN_IF_ERROR(ExpectType(&type));
+          KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        }
+        break;
+      }
+      case Opcode::kPhi: {
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        inst = make(type, CountPhiIncoming());
+        while (true) {
+          KOP_RETURN_IF_ERROR(ExpectPunct('['));
+          Operand operand;
+          KOP_RETURN_IF_ERROR(ParseOperand(type, &operand));
+          AddOperand(inst.get(), operand);
+          KOP_RETURN_IF_ERROR(ExpectPunct(','));
+          BasicBlock* from = nullptr;
+          KOP_RETURN_IF_ERROR(ParseLabelRef(&from));
+          inst->AddIncomingBlock(from);
+          KOP_RETURN_IF_ERROR(ExpectPunct(']'));
+          if (PeekPunct(',')) {
+            Take();
+            continue;
+          }
+          break;
+        }
+        break;
+      }
+      case Opcode::kSelect: {
+        Operand cond;
+        KOP_RETURN_IF_ERROR(ParseOperand(Type::kI1, &cond));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        inst = make(type, 3);
+        AddOperand(inst.get(), cond);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        KOP_RETURN_IF_ERROR(ExpectPunct(','));
+        KOP_RETURN_IF_ERROR(ParseOperandInto(type, inst.get()));
+        break;
+      }
+      case Opcode::kCall: {
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        std::string_view callee;
+        KOP_RETURN_IF_ERROR(ExpectGlobalName(&callee));
+        inst = make(type, 0);
+        inst->set_callee(std::string(callee));
+        KOP_RETURN_IF_ERROR(ParseCallArgs(inst.get()));
+        break;
+      }
+      case Opcode::kFuncAddr: {
+        std::string_view callee;
+        KOP_RETURN_IF_ERROR(ExpectGlobalName(&callee));
+        inst = make(Type::kPtr, 0);
+        inst->set_callee(std::string(callee));
+        break;
+      }
+      case Opcode::kCallIndirect: {
+        Type type;
+        KOP_RETURN_IF_ERROR(ExpectType(&type));
+        inst = make(type, 1);
+        KOP_RETURN_IF_ERROR(ParseOperandInto(Type::kPtr, inst.get()));
+        KOP_RETURN_IF_ERROR(ParseCallArgs(inst.get()));
+        break;
+      }
+      case Opcode::kInlineAsm: {
+        std::string_view text;
+        KOP_RETURN_IF_ERROR(ExpectString(&text));
+        inst = make(Type::kVoid, 0);
+        inst->set_asm_text(std::string(text));
+        break;
+      }
+    }
+    return Finish(fn, block, def_name, std::move(inst));
+  }
+
+  Lexer& lexer_;
+  std::vector<Token> tokens_;  // the window: the current top-level item
   size_t pos_ = 0;
   std::unique_ptr<Module> module_;
-  std::unordered_map<std::string, Value*> locals_;
-  std::vector<std::tuple<Instruction*, size_t, std::string>> pending_;
+  ViewMap<Value> locals_;
+  ViewMap<BasicBlock> labels_;
+  std::vector<Pending> pending_;
 };
 
 }  // namespace
 
 Result<std::unique_ptr<Module>> ParseModule(std::string_view text) {
   Lexer lexer(text);
-  auto tokens = lexer.Run();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(*tokens));
-  return parser.Run();
+  auto module = Parser(lexer).Run();
+  KOP_RETURN_IF_ERROR(lexer.Drain());
+  return module;
 }
 
 }  // namespace kop::kir

@@ -1,7 +1,6 @@
 #include "kop/kir/printer.hpp"
 
-#include <cassert>
-#include <cstdio>
+#include <charconv>
 
 #include "kop/kir/type.hpp"
 
@@ -63,63 +62,75 @@ std::string_view ICmpPredName(ICmpPred pred) {
 
 namespace {
 
-std::string OperandRef(const Value* v) {
+/// Append every part (strings, views, chars) to `out`.
+template <typename... Parts>
+void Cat(std::string& out, const Parts&... parts) {
+  ((out += parts), ...);
+}
+
+void AppendUnsigned(std::string& out, uint64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void AppendOperand(std::string& out, const Value* v) {
   switch (v->kind()) {
-    case ValueKind::kConstant: {
-      const auto* c = static_cast<const Constant*>(v);
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%llu",
-                    static_cast<unsigned long long>(c->bits()));
-      return buf;
-    }
+    case ValueKind::kConstant:
+      return AppendUnsigned(out, static_cast<const Constant*>(v)->bits());
     case ValueKind::kArgument:
     case ValueKind::kInstruction:
-      return "%" + v->name();
+      return Cat(out, '%', v->name());
     case ValueKind::kGlobal:
-      return "@" + v->name();
+      return Cat(out, '@', v->name());
   }
-  return "?";
+  out += '?';
 }
 
-std::string HexBytes(const std::string& bytes) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char byte : bytes) {
-    out.push_back(kDigits[byte >> 4]);
-    out.push_back(kDigits[byte & 0xf]);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string PrintInstruction(const Instruction& inst) {
-  std::string out;
-  const auto def = [&]() { out = "%" + inst.name() + " = "; };
-  const auto type_name = [](Type t) { return std::string(TypeName(t)); };
+void AppendInstruction(std::string& out, const Instruction& inst) {
+  const auto def = [&] { Cat(out, '%', inst.name(), " = "); };
+  const auto operand = [&](size_t i) { AppendOperand(out, inst.operand(i)); };
+  // "TYPE v", typed by the operand itself.
+  const auto typed = [&](size_t i) {
+    Cat(out, TypeName(inst.operand(i)->type()), ' ');
+    operand(i);
+  };
+  const auto two_operands = [&] {
+    operand(0);
+    out += ", ";
+    operand(1);
+  };
+  // "(TYPE v, ...)" over the operands from `first` on.
+  const auto call_args = [&](size_t first) {
+    out += '(';
+    for (size_t i = first; i < inst.operand_count(); ++i) {
+      if (i > first) out += ", ";
+      typed(i);
+    }
+    out += ')';
+  };
 
   switch (inst.opcode()) {
     case Opcode::kAlloca:
       def();
-      out += "alloca " + std::to_string(inst.alloca_size());
-      break;
+      out += "alloca ";
+      return AppendUnsigned(out, inst.alloca_size());
     case Opcode::kLoad:
       def();
-      out += "load " + type_name(inst.memory_type()) + ", " +
-             OperandRef(inst.operand(0));
-      break;
+      Cat(out, "load ", TypeName(inst.memory_type()), ", ");
+      return operand(0);
     case Opcode::kStore:
-      out = "store " + type_name(inst.memory_type()) + " " +
-            OperandRef(inst.operand(0)) + ", " + OperandRef(inst.operand(1));
-      break;
+      Cat(out, "store ", TypeName(inst.memory_type()), ' ');
+      return two_operands();
     case Opcode::kGep:
       def();
-      out += "gep " + OperandRef(inst.operand(0)) + ", i64 " +
-             OperandRef(inst.operand(1)) + ", " +
-             std::to_string(inst.gep_scale()) + ", " +
-             std::to_string(inst.gep_offset());
-      break;
+      out += "gep ";
+      operand(0);
+      out += ", i64 ";
+      operand(1);
+      out += ", ";
+      AppendUnsigned(out, inst.gep_scale());
+      out += ", ";
+      return AppendUnsigned(out, inst.gep_offset());
     case Opcode::kAdd:
     case Opcode::kSub:
     case Opcode::kMul:
@@ -134,132 +145,130 @@ std::string PrintInstruction(const Instruction& inst) {
     case Opcode::kLShr:
     case Opcode::kAShr:
       def();
-      out += std::string(OpcodeName(inst.opcode())) + " " +
-             type_name(inst.type()) + " " + OperandRef(inst.operand(0)) +
-             ", " + OperandRef(inst.operand(1));
-      break;
+      Cat(out, OpcodeName(inst.opcode()), ' ', TypeName(inst.type()), ' ');
+      return two_operands();
     case Opcode::kICmp:
       def();
-      out += "icmp " + std::string(ICmpPredName(inst.icmp_pred())) + " " +
-             type_name(inst.operand(0)->type()) + " " +
-             OperandRef(inst.operand(0)) + ", " + OperandRef(inst.operand(1));
-      break;
+      Cat(out, "icmp ", ICmpPredName(inst.icmp_pred()), ' ',
+          TypeName(inst.operand(0)->type()), ' ');
+      return two_operands();
     case Opcode::kZExt:
     case Opcode::kSExt:
     case Opcode::kTrunc:
     case Opcode::kPtrToInt:
     case Opcode::kIntToPtr:
       def();
-      out += std::string(OpcodeName(inst.opcode())) + " " +
-             type_name(inst.operand(0)->type()) + " " +
-             OperandRef(inst.operand(0)) + " to " + type_name(inst.type());
-      break;
+      Cat(out, OpcodeName(inst.opcode()), ' ');
+      typed(0);
+      return Cat(out, " to ", TypeName(inst.type()));
     case Opcode::kBr:
-      out = "br " + OperandRef(inst.operand(0)) + ", " +
-            inst.true_block()->label() + ", " + inst.false_block()->label();
-      break;
+      out += "br ";
+      operand(0);
+      return Cat(out, ", ", inst.true_block()->label(), ", ",
+                 inst.false_block()->label());
     case Opcode::kJmp:
-      out = "jmp " + inst.true_block()->label();
-      break;
+      return Cat(out, "jmp ", inst.true_block()->label());
     case Opcode::kRet:
-      if (inst.operand_count() == 0) {
-        out = "ret void";
-      } else {
-        out = "ret " + type_name(inst.operand(0)->type()) + " " +
-              OperandRef(inst.operand(0));
-      }
-      break;
-    case Opcode::kPhi: {
+      if (inst.operand_count() == 0) return Cat(out, "ret void");
+      out += "ret ";
+      return typed(0);
+    case Opcode::kPhi:
       def();
-      out += "phi " + type_name(inst.type());
+      Cat(out, "phi ", TypeName(inst.type()));
       for (size_t i = 0; i < inst.operand_count(); ++i) {
-        out += (i == 0 ? " [ " : ", [ ");
-        out += OperandRef(inst.operand(i)) + ", " +
-               inst.incoming_blocks()[i]->label() + " ]";
+        out += i == 0 ? " [ " : ", [ ";
+        operand(i);
+        Cat(out, ", ", inst.incoming_blocks()[i]->label(), " ]");
       }
-      break;
-    }
+      return;
     case Opcode::kSelect:
       def();
-      out += "select " + OperandRef(inst.operand(0)) + ", " +
-             type_name(inst.type()) + " " + OperandRef(inst.operand(1)) +
-             ", " + OperandRef(inst.operand(2));
-      break;
-    case Opcode::kCall: {
+      out += "select ";
+      operand(0);
+      Cat(out, ", ", TypeName(inst.type()), ' ');
+      operand(1);
+      out += ", ";
+      return operand(2);
+    case Opcode::kCall:
       if (inst.type() != Type::kVoid) def();
-      out += "call " + type_name(inst.type()) + " @" + inst.callee() + "(";
-      for (size_t i = 0; i < inst.operand_count(); ++i) {
-        if (i > 0) out += ", ";
-        out += type_name(inst.operand(i)->type()) + " " +
-               OperandRef(inst.operand(i));
-      }
-      out += ")";
-      break;
-    }
+      Cat(out, "call ", TypeName(inst.type()), " @", inst.callee());
+      return call_args(0);
     case Opcode::kFuncAddr:
       def();
-      out += "funcaddr @" + inst.callee();
-      break;
-    case Opcode::kCallIndirect: {
+      return Cat(out, "funcaddr @", inst.callee());
+    case Opcode::kCallIndirect:
       if (inst.type() != Type::kVoid) def();
-      out += "icall " + type_name(inst.type()) + " " +
-             OperandRef(inst.operand(0)) + "(";
-      for (size_t i = 1; i < inst.operand_count(); ++i) {
-        if (i > 1) out += ", ";
-        out += type_name(inst.operand(i)->type()) + " " +
-               OperandRef(inst.operand(i));
-      }
-      out += ")";
-      break;
-    }
+      Cat(out, "icall ", TypeName(inst.type()), ' ');
+      operand(0);
+      return call_args(1);
     case Opcode::kInlineAsm:
-      out = "asm \"" + inst.asm_text() + "\"";
-      break;
+      return Cat(out, "asm \"", inst.asm_text(), '"');
   }
+}
+
+void AppendFunction(std::string& out, const Function& fn) {
+  Cat(out, fn.is_external() ? "extern func @" : "func @", fn.name(), '(');
+  for (size_t i = 0; i < fn.arg_count(); ++i) {
+    const Argument* arg = fn.args()[i].get();
+    if (i > 0) out += ", ";
+    out += TypeName(arg->type());
+    if (!fn.is_external()) Cat(out, " %", arg->name());
+  }
+  Cat(out, ") -> ", TypeName(fn.return_type()));
+  if (fn.is_external()) {
+    out += '\n';
+    return;
+  }
+  out += " {\n";
+  for (const auto& block : fn.blocks()) {
+    Cat(out, block->label(), ":\n");
+    for (const auto& inst : *block) {
+      out += "  ";
+      AppendInstruction(out, *inst);
+      out += '\n';
+    }
+  }
+  out += "}\n";
+}
+
+}  // namespace
+
+std::string PrintInstruction(const Instruction& inst) {
+  std::string out;
+  AppendInstruction(out, inst);
   return out;
 }
 
 std::string PrintFunction(const Function& fn) {
   std::string out;
-  out += fn.is_external() ? "extern func @" : "func @";
-  out += fn.name() + "(";
-  for (size_t i = 0; i < fn.arg_count(); ++i) {
-    const Argument* arg = fn.args()[i].get();
-    if (i > 0) out += ", ";
-    out += std::string(TypeName(arg->type()));
-    if (!fn.is_external()) out += " %" + arg->name();
-  }
-  out += ") -> " + std::string(TypeName(fn.return_type()));
-  if (fn.is_external()) {
-    out += "\n";
-    return out;
-  }
-  out += " {\n";
-  for (const auto& block : fn.blocks()) {
-    out += block->label() + ":\n";
-    for (const auto& inst : *block) {
-      out += "  " + PrintInstruction(*inst) + "\n";
-    }
-  }
-  out += "}\n";
+  AppendFunction(out, fn);
   return out;
 }
 
 std::string PrintModule(const Module& module) {
-  std::string out = "module \"" + module.name() + "\"\n\n";
+  // About 32 bytes a printed instruction; one reservation covers the
+  // module in the common case.
+  std::string out;
+  out.reserve(256 + 32 * module.InstructionCount());
+  Cat(out, "module \"", module.name(), "\"\n\n");
+  static const char* kHexDigits = "0123456789abcdef";
   for (const auto& global : module.globals()) {
-    out += "global @" + global->name() + " size " +
-           std::to_string(global->size_bytes()) +
-           (global->writable() ? " rw" : " ro");
+    Cat(out, "global @", global->name(), " size ");
+    AppendUnsigned(out, global->size_bytes());
+    out += global->writable() ? " rw" : " ro";
     if (!global->init_bytes().empty()) {
-      out += " init x\"" + HexBytes(global->init_bytes()) + "\"";
+      out += " init x\"";
+      for (unsigned char byte : global->init_bytes()) {
+        Cat(out, kHexDigits[byte >> 4], kHexDigits[byte & 0xf]);
+      }
+      out += '"';
     }
-    out += "\n";
+    out += '\n';
   }
-  if (!module.globals().empty()) out += "\n";
+  if (!module.globals().empty()) out += '\n';
   for (const auto& fn : module.functions()) {
-    out += PrintFunction(*fn);
-    out += "\n";
+    AppendFunction(out, *fn);
+    out += '\n';
   }
   return out;
 }

@@ -1,7 +1,7 @@
 #include "kop/kir/verifier.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 
 #include "kop/kir/cfg.hpp"
@@ -37,7 +37,8 @@ class FunctionVerifier {
   }
 
   Status CheckBlocks() {
-    std::unordered_set<std::string> labels;
+    std::unordered_set<std::string_view> labels;
+    labels.reserve(fn_.blocks().size());
     for (const auto& block : fn_.blocks()) {
       if (!labels.insert(block->label()).second) {
         return Fail(nullptr, "duplicate block label " + block->label());
@@ -47,18 +48,17 @@ class FunctionVerifier {
                     "block " + block->label() + " has no terminator");
       }
       size_t pos = 0;
+      const Instruction* prev = nullptr;
       for (const auto& inst : *block) {
         if (inst->IsTerminator() && pos + 1 != block->size()) {
           return Fail(inst.get(), "terminator in middle of block");
         }
-        if (inst->opcode() == Opcode::kPhi && pos != 0) {
-          // Phis must be grouped at the top.
-          auto it = block->begin();
-          std::advance(it, pos - 1);
-          if ((*it)->opcode() != Opcode::kPhi) {
-            return Fail(inst.get(), "phi not at top of block");
-          }
+        // Phis must be grouped at the top.
+        if (inst->opcode() == Opcode::kPhi && prev != nullptr &&
+            prev->opcode() != Opcode::kPhi) {
+          return Fail(inst.get(), "phi not at top of block");
         }
+        prev = inst.get();
         ++pos;
       }
     }
@@ -280,11 +280,11 @@ class FunctionVerifier {
   Status CheckDominance(const Cfg& cfg) {
     const DominatorTree domtree(cfg);
 
-    // Position of each instruction within its block for same-block checks.
-    std::unordered_map<const Value*, size_t> position;
+    // Number each instruction with its position in its block for the
+    // same-block checks.
     for (const auto& block : fn_.blocks()) {
-      size_t pos = 0;
-      for (const auto& inst : *block) position[inst.get()] = pos++;
+      uint32_t pos = 0;
+      for (const auto& inst : *block) inst->set_number(pos++);
     }
 
     auto value_available = [&](const Value* def, const Instruction* user,
@@ -294,7 +294,7 @@ class FunctionVerifier {
       const auto* def_inst = static_cast<const Instruction*>(def);
       const BasicBlock* def_block = def_inst->parent();
       if (def_block == use_block) {
-        return position.at(def_inst) < use_pos ||
+        return def_inst->number() < use_pos ||
                user->opcode() == Opcode::kPhi;  // phi handled separately
       }
       return domtree.Dominates(def_block, use_block);
@@ -347,7 +347,8 @@ Status VerifyFunction(const Function& fn) {
 }
 
 Status VerifyModule(const Module& module) {
-  std::unordered_set<std::string> names;
+  std::unordered_set<std::string_view> names;
+  names.reserve(module.globals().size() + module.functions().size());
   for (const auto& global : module.globals()) {
     if (!names.insert(global->name()).second) {
       return BadModule("verifier: duplicate global @" + global->name());

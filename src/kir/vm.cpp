@@ -116,11 +116,7 @@ Result<uint64_t> VM::Call(const std::string& fn_name,
     return InvalidArgument("argument count mismatch calling @" + fn_name);
   }
   if (entry_depth_ == 0) {
-    step_limit_ = config_.max_steps;
-    if (config_.watchdog_steps != 0 &&
-        stats_.steps + config_.watchdog_steps < step_limit_) {
-      step_limit_ = stats_.steps + config_.watchdog_steps;
-    }
+    step_limit_ = CallStepLimit(config_, stats_.steps);
     fault_state_ = EngineSnapshot();
   }
   // Outermost entry pins the policy frame for the inline-guard fast
@@ -589,7 +585,7 @@ dispatch:
 
 budget_exhausted:
   stats_.steps = steps;
-  return StepBudgetExceeded(config_, max_steps);
+  return StepBudgetExceeded(config_);
 }
 
 #undef VM_NEXT

@@ -16,9 +16,9 @@ namespace {
 /// module that skipped registration, or a forged rebase) denies: unknown
 /// provenance is never a licence to jump.
 bool CfiAllows(const PolicyFrame& frame, uint64_t target, uint64_t set_id) {
-  return set_id < frame.cfi_sets.size() &&
-         std::binary_search(frame.cfi_sets[set_id].begin(),
-                            frame.cfi_sets[set_id].end(), target);
+  const CfiSetTable& sets = *frame.cfi_sets;
+  return set_id < sets.size() &&
+         std::binary_search(sets[set_id].begin(), sets[set_id].end(), target);
 }
 
 /// Build the frame's first-match piece index (see PieceIndex). Regions
@@ -358,13 +358,17 @@ bool PolicyEngine::CfiCheck(uint64_t target, uint64_t set_id) {
 uint64_t PolicyEngine::RegisterCfiSets(
     const std::vector<std::vector<uint64_t>>& sets) {
   std::lock_guard<Spinlock> guard(writer_lock_);
-  const uint64_t base = cfi_sets_.size();
+  const uint64_t base = cfi_sets_->size();
+  auto table = std::make_shared<CfiSetTable>();
+  table->reserve(base + sets.size());
+  table->insert(table->end(), cfi_sets_->begin(), cfi_sets_->end());
   for (const std::vector<uint64_t>& set : sets) {
     std::vector<uint64_t> sorted = set;
     std::sort(sorted.begin(), sorted.end());
-    cfi_sets_.push_back(std::move(sorted));
+    table->push_back(std::move(sorted));
   }
-  // Same protocol as the intrinsic mutators: the frame's CFI copy went
+  cfi_sets_ = std::move(table);
+  // Same protocol as the intrinsic mutators: the frame's CFI table went
   // stale, so the next check republishes and pinned calls deopt once.
   config_generation_.fetch_add(1, std::memory_order_acq_rel);
   return base;
@@ -372,7 +376,7 @@ uint64_t PolicyEngine::RegisterCfiSets(
 
 size_t PolicyEngine::CfiSetCount() const {
   std::lock_guard<Spinlock> guard(writer_lock_);
-  return cfi_sets_.size();
+  return cfi_sets_->size();
 }
 
 bool PolicyEngine::PinFrame() {
@@ -637,6 +641,11 @@ std::vector<Region> PolicyEngine::FrameSnapshot() const {
 PieceIndex PolicyEngine::FrameIndex() const {
   smp::RcuDomain::ReadGuard rcu(rcu_);
   return CurrentFrame()->index;
+}
+
+std::shared_ptr<const CfiSetTable> PolicyEngine::FrameCfiSets() const {
+  smp::RcuDomain::ReadGuard rcu(rcu_);
+  return CurrentFrame()->cfi_sets;
 }
 
 std::vector<HotSite> PolicyEngine::HotSites() const {

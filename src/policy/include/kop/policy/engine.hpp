@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 #include <stdexcept>
 
 #include "kop/kernel/guard_fast.hpp"
@@ -118,6 +119,13 @@ struct PieceIndex {
   std::vector<uint32_t> first;
 };
 
+/// kop::cfi legal-target sets, indexed by engine-global set id; each is a
+/// sorted vector of simulated function addresses for binary search.
+/// Immutable once built: RegisterCfiSets builds a new table (ids stay
+/// stable, so a frame's table is never narrower than what a pinned caller
+/// saw) and frames share it by pointer instead of copying it.
+using CfiSetTable = std::vector<std::vector<uint64_t>>;
+
 /// Immutable snapshot the lock-free guard path decides against. Regions
 /// are flattened into first-match scan order (the table's semantics:
 /// overlaps resolve to the earliest insertion), with a piece index that
@@ -133,11 +141,9 @@ struct PolicyFrame {
   std::vector<uint64_t> intrinsic_allowed;  // sorted
   std::vector<uint64_t> intrinsic_denied;   // sorted
   bool intrinsic_default_allow = false;
-  /// kop::cfi legal-target sets, indexed by engine-global set id; each is
-  /// a sorted vector of simulated function addresses for binary search.
-  /// Registration only appends (ids stay stable for the module lifetime),
-  /// so a frame's copy is never narrower than what a pinned caller saw.
-  std::vector<std::vector<uint64_t>> cfi_sets;
+  /// kop::cfi legal-target sets, shared with the engine and every frame
+  /// published since the last registration (see CfiSetTable).
+  std::shared_ptr<const CfiSetTable> cfi_sets;
 };
 
 class PolicyEngine : public kernel::GuardFastOps {
@@ -254,6 +260,8 @@ class PolicyEngine : public kernel::GuardFastOps {
   std::vector<Region> FrameSnapshot() const;
   /// Copy of that frame's piece index (tests check its invariants).
   PieceIndex FrameIndex() const;
+  /// That frame's CFI set table (tests check frames share it).
+  std::shared_ptr<const CfiSetTable> FrameCfiSets() const;
 
   // ------------------------------------------------------------------
   // Inline-guard fast path (kernel::GuardFastOps, DESIGN.md §15). A pin
@@ -449,8 +457,9 @@ class PolicyEngine : public kernel::GuardFastOps {
   std::set<uint64_t> intrinsic_allowed_;
   std::set<uint64_t> intrinsic_denied_;
   // CFI master table (guarded by writer_lock_; checks read the frame's
-  // copy). Append-only — see RegisterCfiSets.
-  std::vector<std::vector<uint64_t>> cfi_sets_;
+  // pointer to it). Replaced, never mutated — see RegisterCfiSets.
+  std::shared_ptr<const CfiSetTable> cfi_sets_ =
+      std::make_shared<const CfiSetTable>();
 
   smp::PerCpu<CpuStats> cpu_stats_;
   smp::PerCpu<PinSlot> pin_slots_;

@@ -38,7 +38,7 @@ RecoveryPolicy DefaultRecoveryPolicy();
 
 /// Per-call watchdog step budget selected by KOP_WATCHDOG_STEPS (decimal;
 /// 0 disables); 8'000'000 when unset or unparsable — far above any sane
-/// module call, far below the engine-lifetime budget.
+/// module call, below the per-call InterpConfig::max_steps.
 uint64_t DefaultWatchdogSteps();
 
 /// Lifecycle state the loader tracks per module (procfs lsmod column).

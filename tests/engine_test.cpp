@@ -499,6 +499,41 @@ entry:
                   "errors", config);
 }
 
+TEST(EngineDifferentialTest, StepBudgetBoundsEachOutermostCall) {
+  // About 70 steps a call: a lifetime budget of 10k would run out at the
+  // 143rd call; a per-call budget never does.
+  const std::string text = R"(module "m"
+func @count(i64 %n) -> i64 {
+entry:
+  jmp loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %next, loop ]
+  %next = add i64 %i, 1
+  %more = icmp ult i64 %next, %n
+  br %more, loop, done
+done:
+  ret i64 %next
+}
+)";
+  InterpConfig config;
+  config.max_steps = 10'000;
+  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kVmBound}) {
+    EngineRun run = MakeRun(text, kind, config);
+    uint64_t last_steps = 0;
+    for (int call = 0; call < 1000; ++call) {
+      auto result = run.engine->Call("count", {23});
+      ASSERT_TRUE(result.ok()) << run.engine->engine_name() << " call "
+                               << call << ": " << result.status().ToString();
+      EXPECT_EQ(*result, 23u);
+      const uint64_t steps = run.engine->stats().steps;
+      EXPECT_GE(steps - last_steps, 60u);
+      EXPECT_LE(steps - last_steps, 80u);
+      last_steps = steps;
+    }
+    EXPECT_GT(run.engine->stats().steps, 7 * config.max_steps);
+  }
+}
+
 TEST(EngineDifferentialTest, InlineAsmTrapsIdentically) {
   const std::string text = R"(module "m"
 func @bad() -> i64 {

@@ -5,6 +5,7 @@
 
 #include "kop/kir/kir.hpp"
 #include "kop/kirmods/corpus.hpp"
+#include "kop/transform/compiler.hpp"
 
 namespace kop::kir {
 namespace {
@@ -126,6 +127,15 @@ TEST(ParserTest, RoundTripIsStable) {
                                << reparsed.status().ToString();
     const std::string twice = PrintModule(**reparsed);
     EXPECT_EQ(once, twice) << entry.name;
+
+    // The post-pass text is what gets signed: it must reparse to itself.
+    auto compiled = transform::CompileModuleText(entry.source);
+    ASSERT_TRUE(compiled.ok()) << entry.name << ": "
+                               << compiled.status().ToString();
+    auto signed_ir = ParseModule(compiled->text);
+    ASSERT_TRUE(signed_ir.ok()) << entry.name << ": "
+                                << signed_ir.status().ToString();
+    EXPECT_EQ(PrintModule(**signed_ir), compiled->text) << entry.name;
   }
 }
 

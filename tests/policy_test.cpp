@@ -603,6 +603,48 @@ TEST_F(EngineTest, RegisterCfiSetsRebasesPerModule) {
   EXPECT_FALSE(engine_.CfiCheck(0x200, first));
 }
 
+TEST_F(EngineTest, FramesShareOneCfiTableUntilTheNextRegistration) {
+  const uint64_t base = engine_.RegisterCfiSets({{0x100, 0x140}});
+  const auto table = engine_.FrameCfiSets();
+  const uint64_t frames = engine_.frames_published();
+  // Two region changes republish the frame twice; with no registration in
+  // between, both frames point at the table the registration built.
+  ASSERT_TRUE(engine_.store().Add(Region{0x1000, 0x100, kProtRead}).ok());
+  EXPECT_EQ(engine_.FrameCfiSets(), table);
+  ASSERT_TRUE(engine_.store().Remove(0x1000).ok());
+  EXPECT_EQ(engine_.FrameCfiSets(), table);
+  EXPECT_EQ(engine_.frames_published(), frames + 2);
+  // A registration builds a new table and leaves the old one as it was.
+  engine_.RegisterCfiSets({{0x200}});
+  const auto grown = engine_.FrameCfiSets();
+  EXPECT_NE(grown, table);
+  EXPECT_EQ(table->size(), base + 1);
+  EXPECT_EQ(grown->size(), base + 2);
+}
+
+TEST_F(EngineTest, CfiVerdictsHoldAcrossRegistrations) {
+  const uint64_t first = engine_.RegisterCfiSets({{0x40, 0x20}, {0x10}});
+  const auto verdicts = [&] {
+    return std::vector<bool>{
+        engine_.CfiCheck(0x20, first),     engine_.CfiCheck(0x40, first),
+        engine_.CfiCheck(0x10, first),     engine_.CfiCheck(0x10, first + 1),
+        engine_.CfiCheck(0x20, first + 1), engine_.CfiCheck(0x20, first + 2)};
+  };
+  const std::vector<bool> before = verdicts();
+  EXPECT_EQ(before,
+            (std::vector<bool>{true, true, false, true, false, false}));
+  // Later registrations append: every earlier set keeps its verdicts, and
+  // the once out-of-range id now names the new set.
+  const uint64_t second = engine_.RegisterCfiSets({{0x20}, {0x99}});
+  EXPECT_EQ(second, first + 2);
+  std::vector<bool> after = verdicts();
+  EXPECT_TRUE(after.back());
+  after.back() = false;
+  EXPECT_EQ(after, before);
+  EXPECT_TRUE(engine_.CfiCheck(0x99, second + 1));
+  EXPECT_FALSE(engine_.CfiCheck(0x20, second + 1));
+}
+
 TEST_F(EngineTest, ConcurrentGuardsAndMutationsStaySane) {
   // Hammer the engine from reader threads while a writer churns the
   // table; counts must add up and nothing may crash or deadlock.

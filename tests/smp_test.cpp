@@ -251,9 +251,8 @@ TEST(SmpTest, TableMutationMidWorkloadDeoptsInlineGuardsAndStaysExact) {
         }
         return;
       }
-      // Fixed call count (the engine budget is engine-lifetime, not
-      // per-call) and no early return: `completed` must always reach
-      // kWorkerCalls or the mutator's pacing wait would never drain.
+      // Fixed call count and no early return: `completed` must always
+      // reach kWorkerCalls or the mutator's pacing wait would never drain.
       for (uint64_t call = 0; call < kCallsPerCpu; ++call) {
         auto result = rig.module->Call("bump", {rig.ScratchSlot(cpu), kIters});
         if (result.ok()) {
