@@ -3,8 +3,9 @@
 // 64-entry region table — across region counts and address mixes. Two
 // entry points: PolicyEngine::Check (RCU read section + frame freshness
 // check + decision, the slow path's decision core) and the pinned inline
-// FastGuard (clock check + decision + accounting against a frame pinned
-// once, as inside a module call).
+// guard, FastGuardRange with no elided members (clock check + decision +
+// accounting against a frame pinned once, as inside a module call); its
+// rows keep the "FastGuard" label.
 // Host-measured with google-benchmark: this is the one experiment where
 // real cache behaviour is the point ("optimized for cache-friendly
 // search of a small number of regions").
@@ -82,7 +83,7 @@ void Run(benchmark::State& state, Path path, Mix mix, int regions) {
     engine->PinFrame();
     for (auto _ : state) {
       benchmark::DoNotOptimize(
-          engine->FastGuard(probes[i], 8, kop::kGuardAccessRead, 0));
+          engine->FastGuardRange(probes[i], 8, kop::kGuardAccessRead, 0, 0));
       i = (i + 1) & (probes.size() - 1);
     }
     engine->UnpinFrame();

@@ -7,7 +7,7 @@
 //
 //  - xmit ratio: the abl4 harness (direct-wired engines over a shared
 //    kernel/NIC/policy floor) extended with the inline-guard fast path:
-//    the resolver forwards PinGuardFrame / FastGuard / FastGuardRange to
+//    the resolver forwards PinGuardFrame / FastGuardRange to
 //    the real PolicyEngine exactly the way the module loader's resolver
 //    does, so recognized guard calls run as a pinned-frame range check
 //    inside the engine and only deopts pay the external-call slow path.
@@ -33,18 +33,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kop/kernel/kernel.hpp"
 #include "kop/kernel/module_loader.hpp"
-#include "kop/kir/bytecode.hpp"
-#include "kop/kir/engine.hpp"
-#include "kop/kir/interp.hpp"
 #include "kop/kir/parser.hpp"
-#include "kop/kir/vm.hpp"
 #include "kop/kirmods/corpus.hpp"
 #include "kop/nic/e1000_device.hpp"
 #include "kop/policy/engine.hpp"
@@ -56,8 +50,8 @@
 #include "kop/trace/metrics.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/transform/compiler.hpp"
-#include "kop/util/carat_abi.hpp"
 
+#include "common/direct_engine.hpp"
 #include "common/experiment.hpp"
 
 namespace {
@@ -69,123 +63,6 @@ using kop::kernel::LoadedModule;
 using kop::kernel::ModuleLoader;
 
 // ------------------------------------------------------------ xmit part --
-
-/// kir memory over the kernel address space, charging the machine model
-/// like the module loader's adapter does (same as abl4).
-class KernelMemory final : public kop::kir::MemoryInterface {
- public:
-  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
-
-  kop::Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  kop::Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1:
-        return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2:
-        return kernel_->mem().Write16(addr, static_cast<uint16_t>(value));
-      case 4:
-        return kernel_->mem().Write32(addr, static_cast<uint32_t>(value));
-      default:
-        return kernel_->mem().Write64(addr, value);
-    }
-  }
-
- private:
-  Kernel* kernel_;
-};
-
-/// Guard calls go to the real policy engine. Unlike abl4's resolver this
-/// one also wires the inline fast path: PinGuardFrame / FastGuard /
-/// FastGuardRange forward straight to the engine (PolicyEngine implements
-/// GuardFastOps), so the engines execute kGuardInline / kGuardRange as
-/// pinned-frame checks and only deopts land in CallExternal/CallBound.
-class FastGuardResolver final : public kop::kir::ExternalResolver {
- public:
-  explicit FastGuardResolver(kop::policy::PolicyEngine* engine)
-      : engine_(engine) {}
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args)
-      override {
-    return CallExternal(name, args, 0);
-  }
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t /*call_ordinal*/) override {
-    if (name == kop::kCaratGuardSymbol && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratGuardRangeSymbol && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratIntrinsicGuardSymbol && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    return kop::NotFound("undefined symbol in bench harness: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (name == kop::kCaratGuardSymbol) return uint64_t{0};
-    if (name == kop::kCaratIntrinsicGuardSymbol) return uint64_t{1};
-    if (name == kop::kCaratGuardRangeSymbol) return uint64_t{2};
-    return std::nullopt;
-  }
-
-  kop::Result<uint64_t> CallBound(uint64_t handle,
-                                  const std::vector<uint64_t>& args,
-                                  uint64_t /*call_ordinal*/) override {
-    if (handle == 0 && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (handle == 1 && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    if (handle == 2 && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    return kop::Internal("bad bound handle in bench harness");
-  }
-
-  bool PinGuardFrame() override { return engine_->PinFrame(); }
-  void UnpinGuardFrame() override { engine_->UnpinFrame(); }
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                 uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuard(addr, size, flags, 0);
-  }
-  bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
-                      uint64_t elided, uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuardRange(addr, size, flags, elided, 0);
-  }
-
- private:
-  kop::policy::PolicyEngine* engine_;
-};
 
 /// One engine wired to its own kernel + device + policy (same layout as
 /// abl4's harness; kept alive across interleaved timing rounds).
@@ -200,9 +77,7 @@ struct XmitHarness {
   std::unique_ptr<kop::policy::PolicyEngine> policy{};
   std::unique_ptr<kop::nic::CountingSink> sink{};
   std::unique_ptr<kop::nic::E1000Device> device{};
-  std::unique_ptr<KernelMemory> memory{};
-  std::unique_ptr<FastGuardResolver> resolver{};
-  std::unique_ptr<kop::kir::ExecutionEngine> engine{};
+  kop::bench::DirectEngine wired{};
 
   double best_ns = 0.0;
 
@@ -220,39 +95,14 @@ struct XmitHarness {
         std::make_unique<kop::nic::E1000Device>(&kernel->mem(), sink.get());
     if (!device->MapAt(kop::kernel::kVmallocBase).ok()) std::abort();
 
-    std::unordered_map<std::string, uint64_t> globals;
-    for (const auto& global : module->globals()) {
-      auto addr = kernel->module_area().Kmalloc(
-          std::max<uint64_t>(global->size_bytes(), 8));
-      if (!addr.ok()) std::abort();
-      globals[global->name()] = *addr;
-    }
-    auto stack = kernel->module_area().Kmalloc(64 * 1024);
-    if (!stack.ok()) std::abort();
-    kop::kir::InterpConfig config;
-    config.stack_base = *stack;
-    config.stack_size = 64 * 1024;
-    config.max_steps = ~uint64_t{0};
-
-    memory = std::make_unique<KernelMemory>(kernel.get());
-    resolver = std::make_unique<FastGuardResolver>(policy.get());
-    if (bytecode) {
-      auto compiled = kop::kir::CompileToBytecode(*module);
-      if (!compiled.ok()) std::abort();
-      auto vm = kop::kir::VM::Create(std::move(*compiled), *memory, *resolver,
-                                     globals, config);
-      if (!vm.ok()) std::abort();
-      engine = std::move(*vm);
-    } else {
-      engine = std::make_unique<kop::kir::Interpreter>(
-          *module, *memory, *resolver, globals, config);
-    }
+    wired = kop::bench::WireEngine(*module, *kernel, *policy, bytecode,
+                                   /*inline_fast_path=*/true);
   }
 
   double TimeCall(const std::string& fn, const std::vector<uint64_t>& args,
                   uint64_t calls) {
     const auto start = Clock::now();
-    for (uint64_t i = 0; i < calls; ++i) (void)engine->Call(fn, args);
+    for (uint64_t i = 0; i < calls; ++i) (void)wired.engine->Call(fn, args);
     return std::chrono::duration<double, std::nano>(Clock::now() - start)
         .count();
   }
@@ -440,8 +290,8 @@ int main(int argc, char** argv) {
   const uint64_t mmio = kop::kernel::kVmallocBase;
   for (XmitHarness& h : variants) {
     h.Build(CompileKnic(h.guards, h.elide));
-    (void)h.engine->Call("knic_init", {mmio});
-    (void)h.engine->Call("knic_fill", {64, 0x20});
+    (void)h.wired.engine->Call("knic_init", {mmio});
+    (void)h.wired.engine->Call("knic_fill", {64, 0x20});
     (void)h.TimeCall("knic_send", {mmio, 64}, sends / 4 + 1);  // warmup
   }
   // Interleaved rounds, min kept: a noisy co-tenant burst lands on every
@@ -454,7 +304,7 @@ int main(int argc, char** argv) {
   // Correctness anchor: every variant moved the same frames.
   uint64_t sent0 = 0;
   for (XmitHarness& h : variants) {
-    auto result = h.engine->Call("knic_sent_hw", {mmio});
+    auto result = h.wired.engine->Call("knic_sent_hw", {mmio});
     const uint64_t sent = result.ok() ? *result : 0;
     if (sent0 == 0) sent0 = sent;
     if (sent != sent0 || h.sink->packets() != variants[0].sink->packets()) {

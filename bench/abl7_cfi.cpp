@@ -21,158 +21,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kop/kernel/kernel.hpp"
-#include "kop/kir/bytecode.hpp"
-#include "kop/kir/engine.hpp"
-#include "kop/kir/interp.hpp"
 #include "kop/kir/module.hpp"
 #include "kop/kir/parser.hpp"
-#include "kop/kir/vm.hpp"
 #include "kop/policy/engine.hpp"
 #include "kop/policy/region_table.hpp"
 #include "kop/trace/span.hpp"
 #include "kop/transform/compiler.hpp"
-#include "kop/util/carat_abi.hpp"
 
+#include "common/direct_engine.hpp"
 #include "common/experiment.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 using kop::kernel::Kernel;
-
-/// kir memory over the kernel address space, charging the machine model
-/// like the module loader's adapter does (same as abl4/abl6).
-class KernelMemory final : public kop::kir::MemoryInterface {
- public:
-  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
-
-  kop::Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  kop::Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1:
-        return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2:
-        return kernel_->mem().Write16(addr, static_cast<uint16_t>(value));
-      case 4:
-        return kernel_->mem().Write32(addr, static_cast<uint32_t>(value));
-      default:
-        return kernel_->mem().Write64(addr, value);
-    }
-  }
-
- private:
-  Kernel* kernel_;
-};
-
-/// Guard and CFI calls go to the real policy engine, fast paths
-/// included: PinGuardFrame / FastGuard / FastGuardRange / FastCfiCheck
-/// forward straight to the engine the way the module loader's resolver
-/// does, so kCfiCheck resolves as a pinned-frame membership test and
-/// only deopts land in CallExternal/CallBound.
-class CfiGuardResolver final : public kop::kir::ExternalResolver {
- public:
-  explicit CfiGuardResolver(kop::policy::PolicyEngine* engine)
-      : engine_(engine) {}
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args)
-      override {
-    return CallExternal(name, args, 0);
-  }
-
-  kop::Result<uint64_t> CallExternal(const std::string& name,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t /*call_ordinal*/) override {
-    if (name == kop::kCaratGuardSymbol && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratGuardRangeSymbol && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratIntrinsicGuardSymbol && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    if (name == kop::kCaratCfiCheckSymbol && args.size() == 2) {
-      return uint64_t{engine_->CfiCheck(args[0], args[1]) ? 1u : 0u};
-    }
-    return kop::NotFound("undefined symbol in bench harness: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (name == kop::kCaratGuardSymbol) return uint64_t{0};
-    if (name == kop::kCaratIntrinsicGuardSymbol) return uint64_t{1};
-    if (name == kop::kCaratGuardRangeSymbol) return uint64_t{2};
-    if (name == kop::kCaratCfiCheckSymbol) return uint64_t{3};
-    return std::nullopt;
-  }
-
-  kop::Result<uint64_t> CallBound(uint64_t handle,
-                                  const std::vector<uint64_t>& args,
-                                  uint64_t /*call_ordinal*/) override {
-    if (handle == 0 && args.size() == 3) {
-      return uint64_t{engine_->Guard(args[0], args[1], args[2]) ? 1u : 0u};
-    }
-    if (handle == 1 && args.size() == 1) {
-      return uint64_t{engine_->IntrinsicGuard(args[0]) ? 1u : 0u};
-    }
-    if (handle == 2 && args.size() == 4) {
-      return uint64_t{
-          engine_->GuardRange(args[0], args[1], args[2], args[3]) ? 1u : 0u};
-    }
-    if (handle == 3 && args.size() == 2) {
-      return uint64_t{engine_->CfiCheck(args[0], args[1]) ? 1u : 0u};
-    }
-    return kop::Internal("bad bound handle in bench harness");
-  }
-
-  bool PinGuardFrame() override { return engine_->PinFrame(); }
-  void UnpinGuardFrame() override { engine_->UnpinFrame(); }
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                 uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuard(addr, size, flags, 0);
-  }
-  bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
-                      uint64_t elided, uint64_t /*call_ordinal*/) override {
-    return engine_->FastGuardRange(addr, size, flags, elided, 0);
-  }
-  bool FastCfiCheck(uint64_t target, uint64_t set_id,
-                    uint64_t /*call_ordinal*/) override {
-    return engine_->FastCfiCheck(target, set_id, 0);
-  }
-
- private:
-  kop::policy::PolicyEngine* engine_;
-};
 
 /// Indirect-dispatch transmit: xmit resolves the op handler through a
 /// vtable (the icall the CFI pass gates) and @op_copy fills the tx
@@ -254,9 +120,7 @@ struct XmitHarness {
   std::unique_ptr<kop::kir::Module> module{};
   std::unique_ptr<Kernel> kernel{};
   std::unique_ptr<kop::policy::PolicyEngine> policy{};
-  std::unique_ptr<KernelMemory> memory{};
-  std::unique_ptr<CfiGuardResolver> resolver{};
-  std::unique_ptr<kop::kir::ExecutionEngine> engine{};
+  kop::bench::DirectEngine wired{};
 
   double best_ns = 0.0;
 
@@ -297,39 +161,14 @@ struct XmitHarness {
       if (policy->RegisterCfiSets(sets) != 0) std::abort();
     }
 
-    std::unordered_map<std::string, uint64_t> globals;
-    for (const auto& global : module->globals()) {
-      auto addr = kernel->module_area().Kmalloc(
-          std::max<uint64_t>(global->size_bytes(), 8));
-      if (!addr.ok()) std::abort();
-      globals[global->name()] = *addr;
-    }
-    auto stack = kernel->module_area().Kmalloc(64 * 1024);
-    if (!stack.ok()) std::abort();
-    kop::kir::InterpConfig config;
-    config.stack_base = *stack;
-    config.stack_size = 64 * 1024;
-    config.max_steps = ~uint64_t{0};
-
-    memory = std::make_unique<KernelMemory>(kernel.get());
-    resolver = std::make_unique<CfiGuardResolver>(policy.get());
-    if (bytecode) {
-      auto bc = kop::kir::CompileToBytecode(*module);
-      if (!bc.ok()) std::abort();
-      auto vm = kop::kir::VM::Create(std::move(*bc), *memory, *resolver,
-                                     globals, config);
-      if (!vm.ok()) std::abort();
-      engine = std::move(*vm);
-    } else {
-      engine = std::make_unique<kop::kir::Interpreter>(
-          *module, *memory, *resolver, globals, config);
-    }
+    wired = kop::bench::WireEngine(*module, *kernel, *policy, bytecode,
+                                   /*inline_fast_path=*/true);
   }
 
   double TimeCall(uint64_t calls) {
     const auto start = Clock::now();
     for (uint64_t i = 0; i < calls; ++i) {
-      auto result = engine->Call("knic_xmit", {0, 64, 0x5A});
+      auto result = wired.engine->Call("knic_xmit", {0, 64, 0x5A});
       if (!result.ok() || *result != 64) {
         std::fprintf(stderr, "%s: xmit failed\n", label);
         std::abort();
@@ -370,7 +209,7 @@ int main(int argc, char** argv) {
   };
   for (XmitHarness& h : variants) {
     h.Build();
-    auto init = h.engine->Call("knic_init", {});
+    auto init = h.wired.engine->Call("knic_init", {});
     if (!init.ok()) {
       std::fprintf(stderr, "%s: init failed: %s\n", h.label,
                    init.status().ToString().c_str());
@@ -387,7 +226,7 @@ int main(int argc, char** argv) {
   // honest module — every variant transmitted the same frame count.
   uint64_t sent0 = 0;
   for (XmitHarness& h : variants) {
-    auto result = h.engine->Call("knic_sent", {});
+    auto result = h.wired.engine->Call("knic_sent", {});
     const uint64_t sent = result.ok() ? *result : 0;
     if (sent0 == 0) sent0 = sent;
     if (sent == 0 || sent != sent0) {

@@ -10,7 +10,7 @@
 //    plus its store/config generations once, so every inline guard in the
 //    call decides against an immutable region index without re-entering
 //    the RCU read lock per guard. Pins nest (module-to-module calls).
-//  - FastGuard/FastGuardRange return true only when the access was proven
+//  - FastGuardRange returns true only when the access was proven
 //    allowed against the pinned frame AND fully accounted (counters,
 //    per-site attribution, virtual-clock charge). Any other outcome —
 //    no pin, frame generation moved, fault-injection armed, flag
@@ -35,39 +35,27 @@ class GuardFastOps {
   /// Close one nesting level; the outermost close releases the frame.
   virtual void UnpinFrame() = 0;
 
-  /// Inline check of one guarded access. `site` is the guard-site token
+  /// Inline check of one guarded access, or of a covering interval
+  /// emitted by the elision pass; `elided` is the number of member guards
+  /// the cover subsumes beyond itself (credited to guard.elided on
+  /// success; 0 for a plain carat_guard). `site` is the guard-site token
   /// for attribution (0 = unattributed). True = allowed and accounted.
-  virtual bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                         uint64_t site) = 0;
-  /// Inline check of a covering interval emitted by the elision pass;
-  /// `elided` is the number of member guards the cover subsumes beyond
-  /// itself (credited to guard.elided on success).
   virtual bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
                               uint64_t elided, uint64_t site) = 0;
 
   /// Register a module's attested CFI legal-target sets (each a list of
   /// simulated function addresses) and return the engine-global base id
-  /// its module-local set ids were rebased by. Virtual-with-default so
-  /// pre-CFI GuardFastOps implementors keep compiling; the default
-  /// accepts nothing and FastCfiCheck's default deopts everything to the
-  /// slow path, which preserves containment semantics exactly.
+  /// its module-local set ids were rebased by.
   virtual uint64_t RegisterCfiSets(
-      const std::vector<std::vector<uint64_t>>& sets) {
-    (void)sets;
-    return 0;
-  }
+      const std::vector<std::vector<uint64_t>>& sets) = 0;
 
   /// Inline check of one indirect-call target against the pinned frame's
-  /// CFI table. Same contract as FastGuard: true = proven a member of
-  /// set `set_id` AND fully accounted; false = caller must take the
+  /// CFI table. Same contract as FastGuardRange: true = proven a member
+  /// of set `set_id` AND fully accounted; false = caller must take the
   /// out-of-line carat_cfi_check slow path, which owns violation
   /// semantics (containment is byte-identical either way).
-  virtual bool FastCfiCheck(uint64_t target, uint64_t set_id, uint64_t site) {
-    (void)target;
-    (void)set_id;
-    (void)site;
-    return false;
-  }
+  virtual bool FastCfiCheck(uint64_t target, uint64_t set_id,
+                            uint64_t site) = 0;
 };
 
 }  // namespace kop::kernel

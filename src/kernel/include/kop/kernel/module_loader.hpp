@@ -70,6 +70,21 @@ std::string_view VerifyModeName(VerifyMode mode);
 /// "static" or "both"); kBoth when unset or unrecognized.
 VerifyMode DefaultVerifyMode();
 
+/// kir memory over the kernel address space, charging the machine
+/// model's access costs: what every loaded module's engine runs against,
+/// beneath its write journal. Guards are NOT implied here: in a
+/// transformed module they are explicit call instructions in the IR.
+class KernelMemory final : public kir::MemoryInterface {
+ public:
+  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
+
+  Result<uint64_t> Load(uint64_t addr, uint32_t size) override;
+  Status Store(uint64_t addr, uint64_t value, uint32_t size) override;
+
+ private:
+  Kernel* kernel_;
+};
+
 /// Runtime heap allocations owned by one module (made through the
 /// kernel's exported kmalloc). The resolver records them so quarantine /
 /// restart / rmmod can reclaim what the module would otherwise leak.
@@ -297,7 +312,8 @@ class LoadedModule {
   /// One simulated CPU's execution context. Engine, frame stack, write
   /// journal and resolver are private to the CPU; module globals, the
   /// kernel heap, and the exported-symbol table are shared across slots.
-  /// Slot 0 is built by Insmod (the boot CPU); PrepareCpus adds the rest.
+  /// AddCpuSlot builds every slot: Insmod builds slot 0 (the boot CPU),
+  /// PrepareCpus the rest.
   /// Line-aligned: call_depth changes on every call, and slots are
   /// allocated back to back.
   struct alignas(64) CpuSlot {
@@ -307,6 +323,10 @@ class LoadedModule {
     std::unique_ptr<kir::ExecutionEngine> engine;
     uint32_t call_depth = 0;  // re-entry via exported module symbols
   };
+
+  /// Append the next CPU slot: fresh frame stack (module area), journal,
+  /// resolver and engine over the module's shared load-time state.
+  Status AddCpuSlot();
 
   /// The calling CPU's slot; CPUs beyond prepared_cpus() fall back to
   /// slot 0 (callers must PrepareCpus before fanning out).
@@ -371,16 +391,16 @@ class LoadedModule {
   Kernel* kernel_ = nullptr;
   std::unique_ptr<kir::Module> ir_;
   transform::AttestationRecord attestation_;
-  std::map<std::string, uint64_t> global_addresses_;
+  std::unordered_map<std::string, uint64_t> global_addresses_;
   std::vector<uint64_t> allocations_;  // module-area blocks to free
   std::vector<uint64_t> site_tokens_;  // guard-site tokens by site id
   std::vector<std::unique_ptr<CpuSlot>> slots_;
 
-  // Saved by Insmod so PrepareCpus can stamp out more slots.
-  ExecEngine engine_kind_ = ExecEngine::kBytecode;
-  kir::InterpConfig base_config_;
-  std::unordered_map<uint64_t, uint64_t> site_token_map_;
-  std::unordered_map<std::string, uint64_t> address_map_;
+  // Built once by Insmod; AddCpuSlot wires every slot from them.
+  /// The lowered module each slot's VM copies (null: interpreter engine).
+  std::unique_ptr<kir::BytecodeModule> bytecode_;
+  /// Guard-site token per module-wide call ordinal (~0 where none).
+  std::vector<uint64_t> site_token_by_ordinal_;
   /// Engine-global base the module's local CFI set ids are rebased by
   /// (RegisterCfiSets' return at insmod; 0 for un-gated modules).
   uint64_t cfi_base_ = 0;

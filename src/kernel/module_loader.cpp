@@ -6,7 +6,6 @@
 #include <cstring>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "kop/analysis/static_verifier.hpp"
 #include "kop/flight/postmortem.hpp"
@@ -23,52 +22,6 @@
 namespace kop::kernel {
 namespace {
 
-/// Interpreter memory backed by the kernel address space, charging the
-/// machine model's access costs. Guards are NOT implied here: in a
-/// transformed module they are explicit call instructions in the IR.
-class KernelMemory final : public kir::MemoryInterface {
- public:
-  explicit KernelMemory(Kernel* kernel) : kernel_(kernel) {}
-
-  Result<uint64_t> Load(uint64_t addr, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
-    switch (size) {
-      case 1: {
-        auto v = kernel_->mem().Read8(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 2: {
-        auto v = kernel_->mem().Read16(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      case 4: {
-        auto v = kernel_->mem().Read32(addr);
-        if (!v.ok()) return v.status();
-        return uint64_t{*v};
-      }
-      default:
-        return kernel_->mem().Read64(addr);
-    }
-  }
-
-  Status Store(uint64_t addr, uint64_t value, uint32_t size) override {
-    kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
-    switch (size) {
-      case 1: return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
-      case 2: return kernel_->mem().Write16(addr,
-                                            static_cast<uint16_t>(value));
-      case 4: return kernel_->mem().Write32(addr,
-                                            static_cast<uint32_t>(value));
-      default: return kernel_->mem().Write64(addr, value);
-    }
-  }
-
- private:
-  Kernel* kernel_;
-};
-
 /// Sentinel: a call ordinal with no registered guard-site token.
 constexpr uint64_t kNoSiteToken = ~uint64_t{0};
 
@@ -79,88 +32,33 @@ constexpr uint64_t kStackBytes = 64 * 1024;
 /// host fallbacks for the hardware intrinsics so un-wrapped intrinsics
 /// still "execute" (the §5 wrap pass adds the permission check in front).
 ///
-/// Two call paths exist. The name-keyed CallExternal path serves the
-/// interpreter: per call, one guard-name compare (cheap; guard calls are
-/// the only ones needing site attribution) and a symbol-table hash
-/// lookup. The bound path serves the bytecode VM: BindExternal resolves a
-/// name ONCE at engine construction — symbol-table closure pointer,
-/// interned intrinsic id, or guard classification — and CallBound then
-/// dispatches on an integer kind with no string in sight. Cached symbol
-/// pointers revalidate against the symbol table's generation counter, so
-/// unloading the policy module (which unexports carat_guard) is observed
-/// exactly as on the name path.
+/// Both engines bind each callee ONCE at engine construction (the
+/// simulated insmod link step): Bind classifies the name — guard hook,
+/// CFI check, intrinsic id, or exported symbol with its closure pointer
+/// cached — and Call then dispatches on an integer kind with no string
+/// in sight. Cached symbol pointers revalidate against the symbol
+/// table's generation counter, so unloading the policy module (which
+/// unexports carat_guard) makes the next guard call fail with
+/// "undefined kernel symbol", and reinserting it resolves again. A name
+/// that is exported by nobody binds the same way and fails at call time.
 ///
 /// The resolver also keeps the owning module's HeapLedger honest: calls
 /// through the kernel's kmalloc/kfree exports are recorded so quarantine
 /// and restart can reclaim whatever the module still owns.
 class KernelResolver final : public kir::ExternalResolver {
  public:
-  /// `site_tokens` maps a module-wide call ordinal to the guard-site
-  /// token registered for that ordinal's guard call (only guard calls
-  /// appear in it).
+  /// `site_tokens` holds the guard-site token of each module-wide call
+  /// ordinal (kNoSiteToken for ordinals that are not guard calls).
   /// `cfi_base` rebases the module's local CFI set ids into the policy
   /// engine's global table (RegisterCfiSets' return at insmod).
-  KernelResolver(Kernel* kernel,
-                 const std::unordered_map<uint64_t, uint64_t>& site_tokens,
+  KernelResolver(Kernel* kernel, std::vector<uint64_t> site_tokens,
                  HeapLedger* ledger, uint64_t cfi_base)
-      : kernel_(kernel), ledger_(ledger), cfi_base_(cfi_base) {
-    uint64_t max_ordinal = 0;
-    for (const auto& [ordinal, token] : site_tokens) {
-      max_ordinal = std::max(max_ordinal, ordinal);
-    }
-    if (!site_tokens.empty()) {
-      site_token_by_ordinal_.assign(max_ordinal + 1, kNoSiteToken);
-      for (const auto& [ordinal, token] : site_tokens) {
-        site_token_by_ordinal_[ordinal] = token;
-      }
-    }
-  }
+      : kernel_(kernel),
+        ledger_(ledger),
+        cfi_base_(cfi_base),
+        site_token_by_ordinal_(std::move(site_tokens)) {}
 
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args,
-                                uint64_t call_ordinal) override {
-    // Only guard calls carry site attribution; check the (four) guard
-    // names before touching the token table so every other external —
-    // printk, netdev hooks, ... — pays nothing for this overload.
-    if (name == kCaratCfiCheckSymbol && args.size() == 2) {
-      // CFI checks additionally rebase their module-local set id into
-      // the engine's global table before crossing the symbol boundary.
-      const std::vector<uint64_t> rebased{args[0], args[1] + cfi_base_};
-      const uint64_t token = TokenForOrdinal(call_ordinal);
-      if (token != kNoSiteToken) {
-        trace::ScopedGuardSite scope(token);
-        return CallExternal(name, rebased);
-      }
-      return CallExternal(name, rebased);
-    }
-    if (name == kCaratGuardSymbol || name == kCaratGuardRangeSymbol ||
-        name == kCaratIntrinsicGuardSymbol) {
-      const uint64_t token = TokenForOrdinal(call_ordinal);
-      if (token != kNoSiteToken) {
-        // Pin the guard-site context while the guard call is in flight —
-        // the simulated analogue of the return address the guard runtime
-        // would sample on real hardware.
-        trace::ScopedGuardSite scope(token);
-        return CallExternal(name, args);
-      }
-    }
-    return CallExternal(name, args);
-  }
-
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args) override {
-    if (const KernelFunction* fn = kernel_->symbols().FindFunction(name)) {
-      const uint64_t ret = (*fn)(args);
-      NoteHeapOp(name, args, ret);
-      return ret;
-    }
-    if (kir::IsIntrinsicName(name)) {
-      return CallIntrinsic(kir::IntrinsicFromName(name), args);
-    }
-    return NotFound("undefined kernel symbol: " + name);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
+  uint64_t Bind(const std::string& name) override {
     Binding binding;
     binding.name = name;
     if (name == kCaratGuardSymbol || name == kCaratGuardRangeSymbol ||
@@ -168,15 +66,14 @@ class KernelResolver final : public kir::ExternalResolver {
       binding.kind = Binding::Kind::kGuard;
     } else if (name == kCaratCfiCheckSymbol) {
       binding.kind = Binding::Kind::kCfi;
-    } else if (kernel_->symbols().HasFunction(name)) {
-      binding.kind = Binding::Kind::kSymbol;
-      if (name == "kmalloc") binding.heap_op = Binding::HeapOp::kMalloc;
-      if (name == "kfree") binding.heap_op = Binding::HeapOp::kFree;
-    } else if (kir::IsIntrinsicName(name)) {
+    } else if (!kernel_->symbols().HasFunction(name) &&
+               kir::IsIntrinsicName(name)) {
       binding.kind = Binding::Kind::kIntrinsic;
       binding.intrinsic = kir::IntrinsicFromName(name);
     } else {
-      return std::nullopt;  // unknown symbol: name path reports NotFound
+      binding.kind = Binding::Kind::kSymbol;
+      if (name == "kmalloc") binding.heap_op = Binding::HeapOp::kMalloc;
+      if (name == "kfree") binding.heap_op = Binding::HeapOp::kFree;
     }
     if (binding.kind != Binding::Kind::kIntrinsic) {
       binding.fn = kernel_->symbols().FindFunction(name);
@@ -186,15 +83,17 @@ class KernelResolver final : public kir::ExternalResolver {
     return bindings_.size() - 1;
   }
 
-  Result<uint64_t> CallBound(uint64_t handle,
-                             const std::vector<uint64_t>& args,
-                             uint64_t call_ordinal) override {
+  Result<uint64_t> Call(uint64_t handle, const std::vector<uint64_t>& args,
+                        uint64_t call_ordinal) override {
     Binding& binding = bindings_[handle];
     switch (binding.kind) {
       case Binding::Kind::kGuard: {
         KOP_ASSIGN_OR_RETURN(const KernelFunction* fn, Revalidate(binding));
         const uint64_t token = TokenForOrdinal(call_ordinal);
         if (token != kNoSiteToken) {
+          // Pin the guard-site context while the guard call is in flight —
+          // the simulated analogue of the return address the guard runtime
+          // would sample on real hardware.
           trace::ScopedGuardSite scope(token);
           return (*fn)(args);
         }
@@ -214,6 +113,8 @@ class KernelResolver final : public kir::ExternalResolver {
       }
       case Binding::Kind::kCfi: {
         KOP_ASSIGN_OR_RETURN(const KernelFunction* fn, Revalidate(binding));
+        // CFI checks additionally rebase their module-local set id into
+        // the engine's global table before crossing the symbol boundary.
         std::vector<uint64_t> rebased = args;
         if (rebased.size() >= 2) rebased[1] += cfi_base_;
         const uint64_t token = TokenForOrdinal(call_ordinal);
@@ -252,14 +153,6 @@ class KernelResolver final : public kir::ExternalResolver {
     if (--pin_depth_ == 0) pinned_ops_ = nullptr;
   }
 
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                 uint64_t call_ordinal) override {
-    if (pinned_ops_ == nullptr) return false;
-    const uint64_t token = TokenForOrdinal(call_ordinal);
-    return pinned_ops_->FastGuard(addr, size, flags,
-                                  token == kNoSiteToken ? 0 : token);
-  }
-
   bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
                       uint64_t elided, uint64_t call_ordinal) override {
     if (pinned_ops_ == nullptr) return false;
@@ -287,16 +180,6 @@ class KernelResolver final : public kir::ExternalResolver {
     const KernelFunction* fn = nullptr;
     uint64_t generation = 0;
   };
-
-  void NoteHeapOp(const std::string& name, const std::vector<uint64_t>& args,
-                  uint64_t ret) {
-    if (ledger_ == nullptr) return;
-    if (name == "kmalloc") {
-      ledger_->OnAlloc(ret);
-    } else if (name == "kfree" && !args.empty()) {
-      ledger_->OnFree(args[0]);
-    }
-  }
 
   uint64_t TokenForOrdinal(uint64_t ordinal) const {
     return ordinal < site_token_by_ordinal_.size()
@@ -358,8 +241,8 @@ class KernelResolver final : public kir::ExternalResolver {
   /// Module-local CFI set ids become engine-global by adding this.
   uint64_t cfi_base_;
   /// Guard-site token per module-wide call ordinal (kNoSiteToken for
-  /// non-guard ordinals) — a flat array so the per-guard lookup on both
-  /// call paths is one bounds check and one load.
+  /// non-guard ordinals) — a flat array so the per-guard lookup is one
+  /// bounds check and one load.
   std::vector<uint64_t> site_token_by_ordinal_;
   std::vector<Binding> bindings_;
   /// Fast-path provider captured by the open pin (null when unpinned or
@@ -369,6 +252,39 @@ class KernelResolver final : public kir::ExternalResolver {
 };
 
 }  // namespace
+
+Result<uint64_t> KernelMemory::Load(uint64_t addr, uint32_t size) {
+  kernel_->clock().Advance(kernel_->machine().mem_read_cycles);
+  switch (size) {
+    case 1: {
+      auto v = kernel_->mem().Read8(addr);
+      if (!v.ok()) return v.status();
+      return uint64_t{*v};
+    }
+    case 2: {
+      auto v = kernel_->mem().Read16(addr);
+      if (!v.ok()) return v.status();
+      return uint64_t{*v};
+    }
+    case 4: {
+      auto v = kernel_->mem().Read32(addr);
+      if (!v.ok()) return v.status();
+      return uint64_t{*v};
+    }
+    default:
+      return kernel_->mem().Read64(addr);
+  }
+}
+
+Status KernelMemory::Store(uint64_t addr, uint64_t value, uint32_t size) {
+  kernel_->clock().Advance(kernel_->machine().mem_write_cycles);
+  switch (size) {
+    case 1: return kernel_->mem().Write8(addr, static_cast<uint8_t>(value));
+    case 2: return kernel_->mem().Write16(addr, static_cast<uint16_t>(value));
+    case 4: return kernel_->mem().Write32(addr, static_cast<uint32_t>(value));
+    default: return kernel_->mem().Write64(addr, value);
+  }
+}
 
 std::string_view ExecEngineName(ExecEngine engine) {
   switch (engine) {
@@ -858,41 +774,46 @@ void LoadedModule::Quarantine(const std::string& reason,
 Status LoadedModule::PrepareCpus(uint32_t cpus) {
   if (cpus == 0) cpus = 1;
   if (cpus > smp::kMaxCpus) cpus = smp::kMaxCpus;
-  while (slots_.size() < cpus) {
-    auto slot = std::make_unique<CpuSlot>();
-    slot->memory = std::make_unique<KernelMemory>(kernel_);
-    Kernel* kernel = kernel_;
-    slot->journaled = std::make_unique<resilience::JournaledMemory>(
-        slot->memory.get(), [kernel](uint64_t addr, uint32_t size) {
-          return kernel->mem().RawHostPointer(addr, size) != nullptr;
-        });
-    slot->journaled->SetStopFlag(&stop_requested_);
-    slot->resolver = std::make_unique<KernelResolver>(kernel_, site_token_map_,
-                                                      &heap_ledger_, cfi_base_);
+  while (slots_.size() < cpus) KOP_RETURN_IF_ERROR(AddCpuSlot());
+  return OkStatus();
+}
 
-    // Each CPU runs on its own frame stack; everything else the config
-    // carries (watchdog budget) is shared policy.
-    kir::InterpConfig config = base_config_;
-    auto stack = kernel_->module_area().Kmalloc(kStackBytes, 64);
-    if (!stack.ok()) return stack.status();
-    allocations_.push_back(*stack);
-    config.stack_base = *stack;
-    config.stack_size = kStackBytes;
-    config.watchdog_steps = watchdog_steps_;
+Status LoadedModule::AddCpuSlot() {
+  // The memory stack both engines execute against: kernel-backed memory,
+  // wrapped in the resilience journal so every module call is a
+  // transaction (interpreter and VM journal identically — they share
+  // this seam).
+  auto slot = std::make_unique<CpuSlot>();
+  slot->memory = std::make_unique<KernelMemory>(kernel_);
+  Kernel* kernel = kernel_;
+  slot->journaled = std::make_unique<resilience::JournaledMemory>(
+      slot->memory.get(), [kernel](uint64_t addr, uint32_t size) {
+        return kernel->mem().RawHostPointer(addr, size) != nullptr;
+      });
+  slot->journaled->SetStopFlag(&stop_requested_);
+  slot->resolver = std::make_unique<KernelResolver>(
+      kernel_, site_token_by_ordinal_, &heap_ledger_, cfi_base_);
 
-    if (engine_kind_ == ExecEngine::kBytecode) {
-      auto bytecode = kir::CompileToBytecode(*ir_);
-      if (!bytecode.ok()) return bytecode.status();
-      auto vm = kir::VM::Create(std::move(*bytecode), *slot->journaled,
-                                *slot->resolver, address_map_, config);
-      if (!vm.ok()) return vm.status();
-      slot->engine = std::move(*vm);
-    } else {
-      slot->engine = std::make_unique<kir::Interpreter>(
-          *ir_, *slot->journaled, *slot->resolver, address_map_, config);
-    }
-    slots_.push_back(std::move(slot));
+  // Each CPU runs on its own frame stack in the module area; the
+  // watchdog budget is shared policy.
+  auto stack = kernel_->module_area().Kmalloc(kStackBytes, 64);
+  if (!stack.ok()) return stack.status();
+  allocations_.push_back(*stack);
+  kir::InterpConfig config;
+  config.stack_base = *stack;
+  config.stack_size = kStackBytes;
+  config.watchdog_steps = watchdog_steps_;
+
+  if (bytecode_ != nullptr) {
+    auto vm = kir::VM::Create(*bytecode_, *slot->journaled, *slot->resolver,
+                              global_addresses_, config);
+    if (!vm.ok()) return vm.status();
+    slot->engine = std::move(*vm);
+  } else {
+    slot->engine = std::make_unique<kir::Interpreter>(
+        *ir_, *slot->journaled, *slot->resolver, global_addresses_, config);
   }
+  slots_.push_back(std::move(slot));
   return OkStatus();
 }
 
@@ -984,31 +905,28 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
     }
   }
 
-  // 4. Module text footprint + interpreter stack in the module area.
-  //    (Text bytes are symbolic — the IR is the code — but the footprint
-  //    is allocated so the memory map reflects a loaded module.)
+  // 4. Module text footprint in the module area. (Text bytes are
+  //    symbolic — the IR is the code — but the footprint is allocated so
+  //    the memory map reflects a loaded module.) The boot CPU's frame
+  //    stack follows it, allocated with slot 0 in step 6.
   const uint64_t text_bytes =
       AlignUp(std::max<uint64_t>(ir->InstructionCount() * 8, 64), 64);
   auto text = kernel_->module_area().Kmalloc(text_bytes, 64);
   if (!text.ok()) return text.status();
   loaded->allocations_.push_back(*text);
 
-  auto stack = kernel_->module_area().Kmalloc(kStackBytes, 64);
-  if (!stack.ok()) return stack.status();
-  loaded->allocations_.push_back(*stack);
-
-  kir::InterpConfig config;
-  config.stack_base = *stack;
-  config.stack_size = kStackBytes;
-  config.watchdog_steps = watchdog_steps_;
-
   // 5. Register this module's guard sites for runtime attribution. The
   //    signed attestation carries the table; older records without one
   //    fall back to re-enumerating the (already verified) IR.
   std::vector<transform::GuardSite> sites = validated->attestation.sites;
   if (sites.empty()) sites = transform::EnumerateGuardSites(*ir);
-  std::unordered_map<uint64_t, uint64_t> site_tokens;
-  site_tokens.reserve(sites.size());
+  std::vector<uint64_t>& token_by_ordinal = loaded->site_token_by_ordinal_;
+  auto set_token = [&token_by_ordinal](uint64_t ordinal, uint64_t token) {
+    if (ordinal >= token_by_ordinal.size()) {
+      token_by_ordinal.resize(ordinal + 1, kNoSiteToken);
+    }
+    token_by_ordinal[ordinal] = token;
+  };
   loaded->site_tokens_.reserve(sites.size());
   for (const transform::GuardSite& site : sites) {
     trace::SiteInfo info;
@@ -1031,7 +949,7 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
     }
     info.detail = detail;
     const uint64_t token = trace::GlobalSites().Register(std::move(info));
-    site_tokens[site.call_ordinal] = token;
+    set_token(site.call_ordinal, token);
     loaded->site_tokens_.push_back(token);
   }
 
@@ -1044,7 +962,6 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
   //     KOP_VERIFY=static|both the validator has already re-derived this
   //     table from the shipped IR; a forged or widened one never gets
   //     here.
-  uint64_t cfi_base = 0;
   if (validated->attestation.cfi_gated) {
     GuardFastOps* ops = kernel_->guard_fast_ops();
     if (ops != nullptr) {
@@ -1065,7 +982,7 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
         }
         sets.push_back(std::move(addrs));
       }
-      cfi_base = ops->RegisterCfiSets(sets);
+      loaded->cfi_base_ = ops->RegisterCfiSets(sets);
     }
     for (size_t i = 0; i < validated->attestation.cfi_sites.size(); ++i) {
       const transform::CfiAttestedSite& site =
@@ -1082,34 +999,14 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
           validated->attestation.cfi_sets[site.set_id].members.size());
       info.detail = detail;
       const uint64_t token = trace::GlobalSites().Register(std::move(info));
-      site_tokens[static_cast<uint64_t>(site.check_ordinal)] = token;
+      set_token(static_cast<uint64_t>(site.check_ordinal), token);
     }
   }
-  loaded->cfi_base_ = cfi_base;
 
-  // 6. The memory stack both engines execute against: kernel-backed
-  //    memory, wrapped in the resilience journal so every module call is
-  //    a transaction (interpreter and VM journal identically — they
-  //    share this seam). This becomes CPU slot 0 (the boot CPU);
-  //    PrepareCpus stamps out more slots from the saved inputs.
-  auto slot0 = std::make_unique<LoadedModule::CpuSlot>();
-  slot0->memory = std::make_unique<KernelMemory>(kernel_);
-  Kernel* kernel = kernel_;
-  slot0->journaled = std::make_unique<resilience::JournaledMemory>(
-      slot0->memory.get(), [kernel](uint64_t addr, uint32_t size) {
-        return kernel->mem().RawHostPointer(addr, size) != nullptr;
-      });
-  slot0->journaled->SetStopFlag(&loaded->stop_requested_);
-  slot0->resolver = std::make_unique<KernelResolver>(
-      kernel_, site_tokens, &loaded->heap_ledger_, cfi_base);
-  std::unordered_map<std::string, uint64_t> addresses(
-      loaded->global_addresses_.begin(), loaded->global_addresses_.end());
+  // 6. Lower to bytecode once per load; every CPU slot's VM starts from
+  //    a copy. Then build CPU slot 0 (the boot CPU); PrepareCpus adds
+  //    the rest with the same builder.
   loaded->ir_ = std::move(ir);
-  loaded->engine_kind_ = engine_;
-  loaded->base_config_ = config;
-  loaded->site_token_map_ = site_tokens;
-  loaded->address_map_ = addresses;
-
   if (engine_ == ExecEngine::kBytecode) {
     auto bytecode = kir::CompileToBytecode(*loaded->ir_);
     if (!bytecode.ok()) {
@@ -1128,16 +1025,10 @@ Result<LoadedModule*> ModuleLoader::Insmod(const signing::SignedModule& image) {
       return Internal("bytecode guard-site table diverges from IR for '" +
                       name + "'");
     }
-    auto vm = kir::VM::Create(std::move(*bytecode), *slot0->journaled,
-                              *slot0->resolver, addresses, config);
-    if (!vm.ok()) return vm.status();
-    slot0->engine = std::move(*vm);
-  } else {
-    slot0->engine = std::make_unique<kir::Interpreter>(
-        *loaded->ir_, *slot0->journaled, *slot0->resolver,
-        std::move(addresses), config);
+    loaded->bytecode_ =
+        std::make_unique<kir::BytecodeModule>(std::move(*bytecode));
   }
-  loaded->slots_.push_back(std::move(slot0));
+  KOP_RETURN_IF_ERROR(loaded->AddCpuSlot());
 
   // 7. Restart recovery re-runs @init after teardown when the module
   //    defines a zero-arg one (modules with parameterized inits register

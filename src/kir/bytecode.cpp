@@ -376,7 +376,7 @@ class FunctionCompiler {
           } else if (ext.is_cfi_check && inst.operand_count() == 2) {
             out.op = BcOp::kCfiCheck;
           } else {
-            out.op = BcOp::kCallExternal;
+            out.op = BcOp::kCallExtern;
           }
           out.imm2 = ordinal;
         }
@@ -475,7 +475,7 @@ std::string_view BcOpName(BcOp op) {
     case BcOp::kRetVoid: return "ret.void";
     case BcOp::kRet: return "ret";
     case BcOp::kCallInternal: return "call.int";
-    case BcOp::kCallExternal: return "call.ext";
+    case BcOp::kCallExtern: return "call.ext";
     case BcOp::kGuard: return "guard";
     case BcOp::kGuardInline: return "guard.inline";
     case BcOp::kGuardRange: return "guard.range";
@@ -629,7 +629,7 @@ std::string DisassembleBytecode(const BytecodeModule& bytecode) {
           break;
         }
         case BcOp::kCallInternal:
-        case BcOp::kCallExternal:
+        case BcOp::kCallExtern:
         case BcOp::kGuard:
         case BcOp::kGuardInline:
         case BcOp::kGuardRange:

@@ -65,8 +65,8 @@ enum class BcOp : uint8_t {
   // Calls. Argument registers live in call_args[imm .. imm+b). width = 0
   // for void results, else result bits (dst written with mask of width).
   kCallInternal,  // aux = defined-function index; imm2 = result mask
-  kCallExternal,  // aux = extern id; imm2 = module-wide call ordinal
-  kGuard,         // kCallExternal whose callee the compiler recognized as
+  kCallExtern,    // aux = extern id; imm2 = module-wide call ordinal
+  kGuard,         // kCallExtern whose callee the compiler recognized as
                   // carat_guard / carat_intrinsic_guard
 
   // Inline-guard fast path (DESIGN.md §15). Same operand layout as
@@ -82,7 +82,7 @@ enum class BcOp : uint8_t {
   // CFI fast path (DESIGN.md §16). Operand layout of kGuardInline; the
   // VM reads (target, set_id) from the argument registers and runs the
   // resolver's pinned-frame target-set membership test; deopt falls
-  // through to the kCallExternal slow path, which owns violation
+  // through to the kCallExtern slow path, which owns violation
   // attribution and containment semantics.
   kCfiCheck,  // carat_cfi_check(target, set_id), exactly 2 args
 
@@ -91,7 +91,7 @@ enum class BcOp : uint8_t {
   // order); kCallIndirect reads the target from r(a) and dispatches
   // through the module's icall_targets table.
   kFuncAddr,      // dst = imm (simulated function address)
-  kCallIndirect,  // a = target reg; args/ordinal laid out like kCallExternal
+  kCallIndirect,  // a = target reg; args/ordinal laid out like kCallExtern
 
   kTrap,    // inline asm reached execution; aux = asm_texts index
 };

@@ -2,13 +2,14 @@
 // tree-walking reference interpreter (interp.hpp) and the bytecode VM
 // (vm.hpp). A loaded module runs against an abstract memory (the
 // simulated kernel address space) and an external-call resolver (the
-// kernel's exported-symbol table); which engine drives the IR is the
-// module loader's choice and must be observationally invisible.
+// kernel's exported-symbol table). Both engines reach the resolver the
+// same way: each external callee is bound once when the engine is built,
+// and every call goes through its handle. Which engine drives the IR is
+// the module loader's choice and must be observationally invisible.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,75 +28,47 @@ class MemoryInterface {
 };
 
 /// Resolves calls that leave the module (kernel exports and intrinsics).
+/// One protocol, the simulated insmod link step: an engine binds each
+/// external callee ONCE at construction and every later call at that
+/// callee goes through Call with the handle, never re-examining the name.
 class ExternalResolver {
  public:
   virtual ~ExternalResolver() = default;
-  virtual Result<uint64_t> CallExternal(const std::string& name,
-                                        const std::vector<uint64_t>& args) = 0;
 
-  /// Variant carrying the call site's module-wide ordinal: the index of
-  /// this kCall among all kCall instructions in the module, in function /
-  /// block / instruction order. The loader uses it to attribute guard
-  /// calls to the exact injected site (the simulated return address).
-  /// Default forwards to the ordinal-less overload.
-  virtual Result<uint64_t> CallExternal(const std::string& name,
-                                        const std::vector<uint64_t>& args,
-                                        uint64_t call_ordinal) {
-    (void)call_ordinal;
-    return CallExternal(name, args);
-  }
+  /// Bind `name` to an opaque handle. Never fails: a callee the resolver
+  /// cannot satisfy yet binds anyway and reports its error at call time
+  /// (the symbol may be exported, or withdrawn, between bind and call).
+  virtual uint64_t Bind(const std::string& name) = 0;
 
-  /// Compiled-engine fast path. A resolver that can pre-resolve `name`
-  /// (symbol-table entry, intrinsic id, guard hook) returns an opaque
-  /// handle here, bound ONCE when the engine is constructed; every later
-  /// call at that callee goes through CallBound with the handle and never
-  /// re-examines the name. nullopt means no binding is available and the
-  /// engine must use the name-keyed CallExternal path.
-  virtual std::optional<uint64_t> BindExternal(const std::string& name) {
-    (void)name;
-    return std::nullopt;
-  }
-
-  /// Invoke a callee previously bound with BindExternal. `call_ordinal`
-  /// carries the same site-attribution channel as the name-keyed variant.
-  virtual Result<uint64_t> CallBound(uint64_t handle,
-                                     const std::vector<uint64_t>& args,
-                                     uint64_t call_ordinal) {
-    (void)handle;
-    (void)args;
-    (void)call_ordinal;
-    return Internal("CallBound on a resolver without BindExternal");
-  }
+  /// Invoke a bound callee. `call_ordinal` is the call site's module-wide
+  /// ordinal: the index of this call among all kCall/kCallIndirect
+  /// instructions in the module, in function / block / instruction order.
+  /// The loader uses it to attribute guard calls to the exact injected
+  /// site (the simulated return address).
+  virtual Result<uint64_t> Call(uint64_t handle,
+                                const std::vector<uint64_t>& args,
+                                uint64_t call_ordinal) = 0;
 
   // ------------------------------------------------------------------
   // Inline-guard fast path (DESIGN.md §15). The engines bracket every
   // top-level Call with PinGuardFrame/UnpinGuardFrame and execute
   // recognized guard calls (kGuardInline/kGuardRange in the VM, the
-  // matching kCall pattern in the interpreter) through FastGuard /
-  // FastGuardRange. A `true` return means the access was proven allowed
-  // against the pinned policy frame AND fully accounted; `false` means
-  // deopt — the engine must fall back to the ordinary CallExternal /
-  // CallBound path, which re-decides with full violation attribution and
-  // containment semantics. The defaults keep resolvers without a fast
-  // path (tests, recording resolvers) on the slow path everywhere, which
-  // preserves observational identity by construction.
+  // matching kCall pattern in the interpreter) through FastGuardRange —
+  // a plain carat_guard is a range with no elided members. A `true`
+  // return means the access was proven allowed against the pinned policy
+  // frame AND fully accounted; `false` means deopt — the engine must
+  // fall back to the bound Call, which re-decides with full violation
+  // attribution and containment semantics. The defaults keep resolvers
+  // without a fast path (tests, recording resolvers) on the slow path
+  // everywhere, which preserves observational identity by construction.
   // ------------------------------------------------------------------
 
   /// Pin the policy frame for the calling CPU for the duration of one
   /// top-level call. False = no fast path available (skip Unpin).
   virtual bool PinGuardFrame() { return false; }
   virtual void UnpinGuardFrame() {}
-  /// Inline carat_guard(addr, size, flags) at kCall ordinal
+  /// Inline carat_guard_range(addr, size, flags, elided) at kCall ordinal
   /// `call_ordinal`. True = allowed and accounted.
-  virtual bool FastGuard(uint64_t addr, uint64_t size, uint64_t flags,
-                         uint64_t call_ordinal) {
-    (void)addr;
-    (void)size;
-    (void)flags;
-    (void)call_ordinal;
-    return false;
-  }
-  /// Inline carat_guard_range(addr, size, flags, elided).
   virtual bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t flags,
                               uint64_t elided, uint64_t call_ordinal) {
     (void)addr;

@@ -5,6 +5,10 @@
 // and stores really happen, and the guard calls the transform injected
 // really reach the policy module.
 //
+// Construction binds every external callee once through
+// ExternalResolver::Bind, exactly as the VM does; a call then goes
+// through its handle, never through the callee's name.
+//
 // Since the bytecode VM (vm.hpp) became the module loader's default
 // engine, the interpreter's role is reference oracle: it walks the IR
 // directly, which keeps it trivially auditable, and engine_test.cpp holds
@@ -72,9 +76,18 @@ class Interpreter : public ExecutionEngine {
   /// Re-entry depth (a module calling back into itself through a kernel
   /// export) — only the outermost Call re-arms the watchdog deadline.
   uint32_t entry_depth_ = 0;
-  /// Module-wide ordinal of each kCall instruction (function / block /
-  /// instruction order), precomputed so the hot path is one hash lookup.
-  std::unordered_map<const Instruction*, uint64_t> call_ordinals_;
+  /// Per call instruction: its module-wide ordinal (function / block /
+  /// instruction order) and, for a direct call that leaves the module,
+  /// the handle its callee was bound to at construction. Precomputed so
+  /// the hot path is one hash lookup.
+  struct CallSite {
+    uint64_t ordinal = 0;
+    uint64_t handle = 0;
+  };
+  std::unordered_map<const Instruction*, CallSite> call_sites_;
+  /// Bound handle of each external function by declaration index: the
+  /// callees an indirect call can reach outside the module.
+  std::vector<uint64_t> function_handles_;
 };
 
 }  // namespace kop::kir

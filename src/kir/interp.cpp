@@ -18,13 +18,31 @@ Interpreter::Interpreter(
       resolver_(resolver),
       global_addresses_(std::move(global_addresses)),
       config_(config) {
+  // Bind every callee that leaves the module once, deduplicated by name:
+  // each external declaration (an indirect call can reach any of them)
+  // and each direct call that names no defined function.
+  std::unordered_map<std::string, uint64_t> handles;
+  auto bind = [&](const std::string& name) {
+    auto [it, fresh] = handles.try_emplace(name, 0);
+    if (fresh) it->second = resolver_.Bind(name);
+    return it->second;
+  };
+  function_handles_.resize(module_.functions().size());
+  for (size_t i = 0; i < module_.functions().size(); ++i) {
+    const Function& fn = *module_.functions()[i];
+    if (fn.is_external()) function_handles_[i] = bind(fn.name());
+  }
   uint64_t ordinal = 0;
   for (const auto& fn : module_.functions()) {
     for (const auto& block : fn->blocks()) {
       for (const auto& inst : *block) {
-        if (inst->opcode() == Opcode::kCall ||
-            inst->opcode() == Opcode::kCallIndirect) {
-          call_ordinals_[inst.get()] = ordinal++;
+        if (inst->opcode() == Opcode::kCall) {
+          const Function* callee = module_.FindFunction(inst->callee());
+          const bool leaves = callee == nullptr || callee->is_external();
+          call_sites_[inst.get()] = {ordinal++,
+                                     leaves ? bind(inst->callee()) : 0};
+        } else if (inst->opcode() == Opcode::kCallIndirect) {
+          call_sites_[inst.get()] = {ordinal++, 0};
         }
       }
     }
@@ -367,34 +385,31 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
             result = Execute(*callee, call_args, depth + 1, sp);
           } else {
             ++stats_.calls_external;
-            auto ord = call_ordinals_.find(&inst);
-            const uint64_t ordinal =
-                ord == call_ordinals_.end() ? 0 : ord->second;
+            const CallSite& site = call_sites_.at(&inst);
             // Inline-guard fast path, mirroring the VM's kGuardInline /
             // kGuardRange: recognized guard calls with the exact ABI
-            // arity try the pinned-frame check first and fall back to
-            // the ordinary external-call path on deopt. The external
-            // call count advanced either way, so InterpStats parity
-            // with the VM holds.
+            // arity try the pinned-frame check first (carat_guard is a
+            // range with no elided members) and fall back to the bound
+            // call on deopt. The external call count advanced either
+            // way, so InterpStats parity with the VM holds.
             if (call_args.size() == 3 &&
                 inst.callee() == kCaratGuardSymbol &&
-                resolver_.FastGuard(call_args[0], call_args[1], call_args[2],
-                                    ordinal)) {
+                resolver_.FastGuardRange(call_args[0], call_args[1],
+                                         call_args[2], 0, site.ordinal)) {
               result = uint64_t{1};
             } else if (call_args.size() == 4 &&
                        inst.callee() == kCaratGuardRangeSymbol &&
                        resolver_.FastGuardRange(call_args[0], call_args[1],
                                                 call_args[2], call_args[3],
-                                                ordinal)) {
+                                                site.ordinal)) {
               result = uint64_t{1};
             } else if (call_args.size() == 2 &&
                        inst.callee() == kCaratCfiCheckSymbol &&
                        resolver_.FastCfiCheck(call_args[0], call_args[1],
-                                              ordinal)) {
+                                              site.ordinal)) {
               result = uint64_t{1};
             } else {
-              result = resolver_.CallExternal(inst.callee(), call_args,
-                                              ordinal);
+              result = resolver_.Call(site.handle, call_args, site.ordinal);
             }
           }
           if (!result.ok()) return result.status();
@@ -434,10 +449,9 @@ Result<uint64_t> Interpreter::ExecuteFrame(const Function& fn,
             result = Execute(*callee, call_args, depth + 1, sp);
           } else {
             ++stats_.calls_external;
-            auto ord = call_ordinals_.find(&inst);
-            const uint64_t ordinal =
-                ord == call_ordinals_.end() ? 0 : ord->second;
-            result = resolver_.CallExternal(callee->name(), call_args, ordinal);
+            result = resolver_.Call(
+                function_handles_[static_cast<size_t>(index)], call_args,
+                call_sites_.at(&inst).ordinal);
           }
           if (!result.ok()) return result.status();
           if (inst.type() != Type::kVoid) {

@@ -125,8 +125,8 @@ void AppendInstruction(std::string& out, const Instruction& inst) {
       def();
       out += "gep ";
       operand(0);
-      out += ", i64 ";
-      operand(1);
+      out += ", ";
+      typed(1);
       out += ", ";
       AppendUnsigned(out, inst.gep_scale());
       out += ", ";

@@ -99,7 +99,7 @@ Result<std::unique_ptr<VM>> VM::Create(
       new VM(std::move(bytecode), memory, resolver, config));
   vm->bindings_.reserve(vm->bytecode_.externs.size());
   for (const BcExtern& ext : vm->bytecode_.externs) {
-    vm->bindings_.push_back(resolver.BindExternal(ext.name));
+    vm->bindings_.push_back(resolver.Bind(ext.name));
   }
   return vm;
 }
@@ -237,7 +237,7 @@ Result<uint64_t> VM::RunFrame(const BytecodeFunction& fn, uint32_t fn_index,
       &&lbl_kOr,     &&lbl_kXor,   &&lbl_kShl,   &&lbl_kLShr,
       &&lbl_kAShr,   &&lbl_kICmp,  &&lbl_kMove,  &&lbl_kSExt,
       &&lbl_kSelect, &&lbl_kBr,    &&lbl_kJmp,   &&lbl_kRetVoid,
-      &&lbl_kRet,    &&lbl_kCallInternal,        &&lbl_kCallExternal,
+      &&lbl_kRet,    &&lbl_kCallInternal,        &&lbl_kCallExtern,
       &&lbl_kGuard,  &&lbl_kGuardInline,         &&lbl_kGuardRange,
       &&lbl_kCfiCheck,                           &&lbl_kFuncAddr,
       &&lbl_kCallIndirect,                       &&lbl_kTrap};
@@ -455,14 +455,16 @@ dispatch:
     }
     VM_CASE(kGuardInline) : {
       // Pinned-frame fast path: argument registers read in place, no
-      // vector build, no resolver dispatch. A true return means the
-      // access was proven allowed AND fully accounted; anything else
-      // deopts into the out-of-line call body below (same instruction,
-      // so step/call accounting is identical either way).
+      // vector build, no resolver dispatch; carat_guard is a range check
+      // with no elided members. A true return means the access was
+      // proven allowed AND fully accounted; anything else deopts into the
+      // out-of-line call body below (same instruction, so step/call
+      // accounting is identical either way).
       const uint16_t* arg_regs = fn.call_args.data() + ip->imm;
       stats_.steps = steps;
-      if (resolver_.FastGuard(regs[arg_regs[0]], regs[arg_regs[1]],
-                              regs[arg_regs[2]], ip->imm2)) [[likely]] {
+      if (resolver_.FastGuardRange(regs[arg_regs[0]], regs[arg_regs[1]],
+                                   regs[arg_regs[2]], 0, ip->imm2))
+          [[likely]] {
         ++stats_.calls_external;
         if (ip->width != 0) {
           regs[ip->dst] = uint64_t{1} & MaskOfBits(ip->width);
@@ -534,12 +536,8 @@ dispatch:
       }
       ++stats_.calls_external;
       stats_.steps = steps;
-      const std::optional<uint64_t>& handle = bindings_[entry.index];
       Result<uint64_t> result =
-          handle.has_value()
-              ? resolver_.CallBound(*handle, call_args, ip->imm2)
-              : resolver_.CallExternal(bytecode_.externs[entry.index].name,
-                                       call_args, ip->imm2);
+          resolver_.Call(bindings_[entry.index], call_args, ip->imm2);
       if (!result.ok()) return result.status();
       steps = stats_.steps;
       regs = reg_stack_.data() + base;
@@ -548,7 +546,7 @@ dispatch:
       }
       VM_NEXT();
     }
-    VM_CASE(kCallExternal) :
+    VM_CASE(kCallExtern) :
     VM_CASE(kGuard) : {
     call_external_slow:
       std::vector<uint64_t>& call_args = arg_buffers_[depth];
@@ -559,12 +557,8 @@ dispatch:
       }
       ++stats_.calls_external;
       stats_.steps = steps;
-      const std::optional<uint64_t>& handle = bindings_[ip->aux];
       Result<uint64_t> result =
-          handle.has_value()
-              ? resolver_.CallBound(*handle, call_args, ip->imm2)
-              : resolver_.CallExternal(bytecode_.externs[ip->aux].name,
-                                       call_args, ip->imm2);
+          resolver_.Call(bindings_[ip->aux], call_args, ip->imm2);
       if (!result.ok()) return result.status();
       steps = stats_.steps;             // ...and may have run more code
       regs = reg_stack_.data() + base;  // resolver may re-enter the VM

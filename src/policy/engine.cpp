@@ -453,11 +453,6 @@ void PolicyEngine::ChargePinned(PinSlot& pin) {
   }
 }
 
-bool PolicyEngine::FastGuard(uint64_t addr, uint64_t size,
-                             uint64_t access_flags, uint64_t site) {
-  return PolicyEngine::FastGuardRange(addr, size, access_flags, 0, site);
-}
-
 bool PolicyEngine::FastGuardRange(uint64_t addr, uint64_t size,
                                   uint64_t access_flags, uint64_t elided,
                                   uint64_t site) {

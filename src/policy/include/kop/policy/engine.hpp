@@ -281,10 +281,8 @@ class PolicyEngine : public kernel::GuardFastOps {
   /// True = allowed against the pinned frame and fully accounted.
   /// False = deopt: not pinned, mutation clock moved (the pin is
   /// refreshed so later guards in the call are fast again), the
-  /// fault-injection forced-deny is armed, or the check failed.
-  /// FastGuard is FastGuardRange with no elided members.
-  bool FastGuard(uint64_t addr, uint64_t size, uint64_t access_flags,
-                 uint64_t site) override;
+  /// fault-injection forced-deny is armed, or the check failed. A plain
+  /// carat_guard is a range with no elided members.
   bool FastGuardRange(uint64_t addr, uint64_t size, uint64_t access_flags,
                       uint64_t elided, uint64_t site) override;
   /// Append a module's attested legal-target sets (insmod time). Each set

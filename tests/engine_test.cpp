@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,51 +93,26 @@ struct CallRecord {
 };
 
 /// Records every external call with its ordinal and returns a
-/// deterministic per-call value (so result clamping is exercised). When
-/// `offer_bindings` is true it hands out handles through BindExternal, so
-/// a VM run through it covers the bound fast path; when false the VM must
-/// take the name-keyed fallback. Either way the recorded sequence must
-/// match the interpreter's.
+/// deterministic per-call value (so result clamping is exercised). Both
+/// engines bind each callee once and call by handle; the recorded
+/// sequence, resolved back to names, must match between them.
 class RecordingResolver : public kir::ExternalResolver {
  public:
-  explicit RecordingResolver(bool offer_bindings)
-      : offer_bindings_(offer_bindings) {}
-
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args) override {
-    return Record(name, args, 0);
-  }
-
-  Result<uint64_t> CallExternal(const std::string& name,
-                                const std::vector<uint64_t>& args,
-                                uint64_t call_ordinal) override {
-    return Record(name, args, call_ordinal);
-  }
-
-  std::optional<uint64_t> BindExternal(const std::string& name) override {
-    if (!offer_bindings_) return std::nullopt;
+  uint64_t Bind(const std::string& name) override {
     bound_names_.push_back(name);
     return bound_names_.size() - 1;
   }
 
-  Result<uint64_t> CallBound(uint64_t handle,
-                             const std::vector<uint64_t>& args,
-                             uint64_t call_ordinal) override {
-    return Record(bound_names_[handle], args, call_ordinal);
+  Result<uint64_t> Call(uint64_t handle, const std::vector<uint64_t>& args,
+                        uint64_t call_ordinal) override {
+    calls.push_back({bound_names_[handle], args, call_ordinal});
+    ++sequence_;
+    return sequence_ * 0x9e3779b97f4a7c15ull;  // deterministic, full 64 bits
   }
 
   std::vector<CallRecord> calls;
 
  private:
-  Result<uint64_t> Record(const std::string& name,
-                          const std::vector<uint64_t>& args,
-                          uint64_t ordinal) {
-    calls.push_back({name, args, ordinal});
-    ++sequence_;
-    return sequence_ * 0x9e3779b97f4a7c15ull;  // deterministic, full 64 bits
-  }
-
-  bool offer_bindings_;
   uint64_t sequence_ = 0;
   std::vector<std::string> bound_names_;
 };
@@ -155,7 +129,7 @@ constexpr uint64_t kGlobalBase = FlatMemory::kBase + 0x5000;
 constexpr uint64_t kStackBase = FlatMemory::kBase + 0xc000;
 constexpr uint64_t kStackSize = 0x4000;
 
-enum class EngineKind { kInterp, kVmBound, kVmUnbound };
+enum class EngineKind { kInterp, kVm };
 
 /// One engine instance with everything it runs against.
 struct EngineRun {
@@ -172,8 +146,7 @@ EngineRun MakeRun(const std::string& text, EngineKind kind,
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   run.module = std::move(*parsed);
   run.memory = std::make_unique<FlatMemory>();
-  run.resolver =
-      std::make_unique<RecordingResolver>(kind == EngineKind::kVmBound);
+  run.resolver = std::make_unique<RecordingResolver>();
 
   // Deterministic global layout, identical across engines; initializers
   // written straight into the flat memory the way the loader would.
@@ -217,70 +190,45 @@ void ExpectStatsEqual(const InterpStats& a, const InterpStats& b,
   EXPECT_EQ(a.calls_external, b.calls_external) << label;
 }
 
-/// Per-call observations ("value" or status string) keyed by run tag, so
-/// the two VM variants can be compared against each other as well as
-/// against the oracle.
-std::map<std::string, std::vector<std::string>> results_by_tag_;
-
-/// Drive the script through the interpreter and through the VM (once with
-/// pre-bound externs, once over the name fallback) and require the three
-/// to be observationally identical.
+/// Drive the script through the interpreter and through the VM and
+/// require the two to be observationally identical.
 void RunDifferential(const std::string& text,
                      const std::vector<ScriptCall>& script,
                      const std::string& label,
                      const InterpConfig& config = InterpConfig()) {
   EngineRun oracle = MakeRun(text, EngineKind::kInterp, config);
-  for (EngineKind kind : {EngineKind::kVmBound, EngineKind::kVmUnbound}) {
-    EngineRun vm = MakeRun(text, kind, config);
-    const std::string tag =
-        label + (kind == EngineKind::kVmBound ? " [bound]" : " [unbound]");
-    ASSERT_NE(vm.engine, nullptr) << tag;
-    EXPECT_EQ(vm.engine->engine_name(), "bytecode");
+  EngineRun vm = MakeRun(text, EngineKind::kVm, config);
+  ASSERT_NE(vm.engine, nullptr) << label;
+  EXPECT_EQ(vm.engine->engine_name(), "bytecode");
 
-    for (size_t i = 0; i < script.size(); ++i) {
-      // Re-running the oracle per VM variant would double-count its
-      // stats; run it only alongside the first variant and replay its
-      // recorded observations for the second.
-      auto expected = (kind == EngineKind::kVmBound)
-                          ? oracle.engine->Call(script[i].function,
-                                                script[i].args)
-                          : Result<uint64_t>(uint64_t{0});
-      auto actual = vm.engine->Call(script[i].function, script[i].args);
-      if (kind == EngineKind::kVmBound) {
-        ASSERT_EQ(expected.ok(), actual.ok())
-            << tag << " call " << i << " @" << script[i].function << ": "
-            << (expected.ok() ? actual.status().ToString()
-                              : expected.status().ToString());
-        if (expected.ok()) {
-          EXPECT_EQ(*expected, *actual)
-              << tag << " call " << i << " @" << script[i].function;
-        } else {
-          EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
-              << tag << " call " << i;
-        }
-      }
-      results_by_tag_[tag].push_back(
-          actual.ok() ? std::to_string(*actual) : actual.status().ToString());
+  for (size_t i = 0; i < script.size(); ++i) {
+    auto expected = oracle.engine->Call(script[i].function, script[i].args);
+    auto actual = vm.engine->Call(script[i].function, script[i].args);
+    ASSERT_EQ(expected.ok(), actual.ok())
+        << label << " call " << i << " @" << script[i].function << ": "
+        << (expected.ok() ? actual.status().ToString()
+                          : expected.status().ToString());
+    if (expected.ok()) {
+      EXPECT_EQ(*expected, *actual)
+          << label << " call " << i << " @" << script[i].function;
+    } else {
+      EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
+          << label << " call " << i;
     }
-
-    EXPECT_EQ(oracle.memory->bytes(), vm.memory->bytes()) << tag;
-    EXPECT_EQ(oracle.resolver->calls.size(), vm.resolver->calls.size()) << tag;
-    const size_t n =
-        std::min(oracle.resolver->calls.size(), vm.resolver->calls.size());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(oracle.resolver->calls[i], vm.resolver->calls[i])
-          << tag << " external call " << i << " ("
-          << oracle.resolver->calls[i].name << " vs "
-          << vm.resolver->calls[i].name << ")";
-    }
-    ExpectStatsEqual(oracle.engine->stats(), vm.engine->stats(), tag);
   }
-  // The two VM variants must agree with each other too (the unbound one
-  // was not compared against the oracle call-by-call above).
-  EXPECT_EQ(results_by_tag_[label + " [bound]"],
-            results_by_tag_[label + " [unbound]"])
+
+  EXPECT_EQ(oracle.memory->bytes(), vm.memory->bytes()) << label;
+  EXPECT_EQ(oracle.resolver->calls.size(), vm.resolver->calls.size())
       << label;
-  results_by_tag_.clear();
+  const size_t n =
+      std::min(oracle.resolver->calls.size(), vm.resolver->calls.size());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(oracle.resolver->calls[i], vm.resolver->calls[i])
+        << label << " external call " << i << " ("
+        << oracle.resolver->calls[i].name << " vs "
+        << vm.resolver->calls[i].name << ")";
+  }
+  ExpectStatsEqual(oracle.engine->stats(), vm.engine->stats(), label);
 }
 
 /// Per-corpus-module call scripts. Addresses are within the flat test
@@ -517,7 +465,7 @@ done:
 )";
   InterpConfig config;
   config.max_steps = 10'000;
-  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kVmBound}) {
+  for (EngineKind kind : {EngineKind::kInterp, EngineKind::kVm}) {
     EngineRun run = MakeRun(text, kind, config);
     uint64_t last_steps = 0;
     for (int call = 0; call < 1000; ++call) {
@@ -947,11 +895,11 @@ TEST(ElisionDeoptTest, StoreMutationUnderPinDeoptsOnceThenRecovers) {
   const uint64_t before = deopts->value();
 
   // Unpinned: the fast path refuses (not a deopt — there is no pin).
-  EXPECT_FALSE(engine.FastGuard(0x9000, 8, kGuardAccessRead, 0));
+  EXPECT_FALSE(engine.FastGuardRange(0x9000, 8, kGuardAccessRead, 0, 0));
   EXPECT_EQ(deopts->value(), before);
 
   ASSERT_TRUE(engine.PinFrame());
-  EXPECT_TRUE(engine.FastGuard(0x9000, 8, kGuardAccessRead, 0));
+  EXPECT_TRUE(engine.FastGuardRange(0x9000, 8, kGuardAccessRead, 0, 0));
   EXPECT_TRUE(engine.FastGuardRange(0x9000, 16, kGuardAccessRead, 1, 0));
 
   // Mutating the live store bumps its generation: the next inline check
@@ -959,11 +907,11 @@ TEST(ElisionDeoptTest, StoreMutationUnderPinDeoptsOnceThenRecovers) {
   ASSERT_TRUE(engine.store()
                   .Add(policy::Region{0x1000, 0x100, policy::kProtNone})
                   .ok());
-  EXPECT_FALSE(engine.FastGuard(0x9000, 8, kGuardAccessRead, 0));
+  EXPECT_FALSE(engine.FastGuardRange(0x9000, 8, kGuardAccessRead, 0, 0));
   EXPECT_EQ(deopts->value(), before + 1);
   // The deopt refreshed the pin: fast again, against the new frame.
-  EXPECT_TRUE(engine.FastGuard(0x9000, 8, kGuardAccessRead, 0));
-  EXPECT_FALSE(engine.FastGuard(0x1000, 8, kGuardAccessWrite, 0));
+  EXPECT_TRUE(engine.FastGuardRange(0x9000, 8, kGuardAccessRead, 0, 0));
+  EXPECT_FALSE(engine.FastGuardRange(0x1000, 8, kGuardAccessWrite, 0, 0));
   engine.UnpinFrame();
 
   // Elided accesses surfaced in the fold.

@@ -676,7 +676,7 @@ const Malformed kMalformed[] = {
      "  %s = alloca 32\n"
      "  %v = load i32, %p\n"
      "  store i32 %v, %s\n"
-     "  %q = gep @g, i64 %v, 4, 8\n"
+     "  %q = gep @g, i32 %v, 4, 8\n"
      "  %w = sext i32 %v to i64\n"
      "  %t = trunc i64 %w to i16\n"
      "  %i = ptrtoint ptr %q to i64\n"

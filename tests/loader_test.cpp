@@ -13,6 +13,7 @@
 #include "kop/kirmods/corpus.hpp"
 #include "kop/kir/parser.hpp"
 #include "kop/policy/policy_module.hpp"
+#include "kop/resilience/recovery.hpp"
 #include "kop/signing/signer.hpp"
 #include "kop/smp/cpu.hpp"
 #include "kop/trace/trace.hpp"
@@ -486,6 +487,208 @@ TEST(HeapLedgerTest, ConcurrentCpusKeepTheirOwnRollbackSets) {
   EXPECT_EQ(ledger.TakeAllLive().size(), live.size());
   EXPECT_TRUE(ledger.LiveSnapshot().empty());
 }
+
+
+// ---------------------------------------------------------------------
+// The bind-once call protocol, on both engines: each external callee is
+// bound when the engine is built and every call goes through its handle.
+// Through the binding, a withdrawn export must fail and a re-exported
+// one resolve, the kernel heap exports must feed the module's ledger, and
+// every CPU slot the shared slot builder makes must behave the same.
+
+const char* kBindSource = R"(module "kop_bind"
+
+global @buf size 64 rw
+global @cell size 8 rw
+
+extern func @kmalloc(i64) -> i64
+extern func @kfree(i64) -> i64
+
+func @peek() -> i64 {
+entry:
+  %v = load i64, @cell
+  ret i64 %v
+}
+
+func @gep_back() -> i64 {
+entry:
+  %p = gep @buf, i32 -1, 8, 16
+  %v = ptrtoint ptr %p to i64
+  ret i64 %v
+}
+
+func @grab(i64 %bytes) -> i64 {
+entry:
+  %a = call i64 @kmalloc(i64 %bytes)
+  ret i64 %a
+}
+
+func @drop(i64 %a) -> i64 {
+entry:
+  %r = call i64 @kfree(i64 %a)
+  ret i64 %r
+}
+
+func @poke(ptr %addr, i64 %value) -> i64 {
+entry:
+  store i64 %value, %addr
+  ret i64 %value
+}
+
+func @fill(i64 %seed) -> i64 {
+entry:
+  jmp loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %i1, body ]
+  %done = icmp uge i64 %i, 8
+  br %done, out, body
+body:
+  %slot = gep @buf, i64 %i, 8, 0
+  %v = mul i64 %i, %seed
+  store i64 %v, %slot
+  %i1 = add i64 %i, 1
+  jmp loop
+out:
+  ret i64 %i
+}
+
+func @mix(i64 %n) -> i64 {
+entry:
+  jmp loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %i1, body ]
+  %s = phi i64 [ 1, entry ], [ %s1, body ]
+  %done = icmp uge i64 %i, %n
+  br %done, out, body
+body:
+  %k = and i64 %i, 7
+  %slot = gep @buf, i64 %k, 8, 0
+  %v = load i64, %slot
+  %x = mul i64 %s, 31
+  %s1 = add i64 %x, %v
+  %i1 = add i64 %i, 1
+  jmp loop
+out:
+  ret i64 %s
+}
+)";
+
+class LoaderBindTest : public ::testing::TestWithParam<kernel::ExecEngine> {
+ protected:
+  void SetUp() override {
+    InsertPolicy();
+    loader_.set_engine(GetParam());
+    loader_.set_recovery_policy(resilience::RecoveryPolicy::kQuarantine);
+    auto loaded = loader_.Insmod(CompileAndSign(kBindSource));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    module_ = *loaded;
+    ASSERT_EQ(module_->engine_name(), kernel::ExecEngineName(GetParam()));
+  }
+
+  /// Default-allow policy that denies user space, quarantining on denial.
+  void InsertPolicy() {
+    auto inserted = policy::PolicyModule::Insert(
+        &kernel_, nullptr, policy::PolicyMode::kDefaultAllow);
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    policy_ = std::move(*inserted);
+    policy_->engine().SetViolationAction(policy::ViolationAction::kQuarantine);
+    ASSERT_TRUE(policy_->engine()
+                    .store()
+                    .Add(policy::Region{0, kernel::kUserSpaceEnd,
+                                        policy::kProtNone})
+                    .ok());
+  }
+
+  Kernel kernel_;
+  std::unique_ptr<policy::PolicyModule> policy_;
+  ModuleLoader loader_{&kernel_, TrustedKeyring()};
+  kernel::LoadedModule* module_ = nullptr;
+};
+
+TEST_P(LoaderBindTest, NegativeNarrowGepIndexSurvivesSigning) {
+  // The signed text must carry the i32 index at its own width: widened
+  // to i64 it would read back as +4294967295 elements.
+  auto buf = module_->GlobalAddress("buf");
+  ASSERT_TRUE(buf.ok());
+  auto addr = module_->Call("gep_back", {});
+  ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+  EXPECT_EQ(*addr, *buf + 8);
+}
+
+TEST_P(LoaderBindTest, GuardFailsWhilePolicyModuleIsOutThenResolvesAgain) {
+  ASSERT_TRUE(module_->Call("peek", {}).ok());
+
+  policy_.reset();  // rmmod the policy module: carat_guard is unexported
+  auto orphaned = module_->Call("peek", {});
+  ASSERT_FALSE(orphaned.ok());
+  EXPECT_EQ(orphaned.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(orphaned.status().message(),
+            "undefined kernel symbol: carat_guard");
+  EXPECT_FALSE(module_->quarantined());
+
+  InsertPolicy();
+  auto resolved = module_->Call("peek", {});
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(*resolved, 0u);
+}
+
+TEST_P(LoaderBindTest, HeapCallsReachTheLedgerAndQuarantineReclaimsThem) {
+  const uint64_t heap_before = kernel_.heap().Stats().allocation_count;
+  auto a = module_->Call("grab", {128});
+  auto b = module_->Call("grab", {64});
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_NE(*a, 0u);
+  ASSERT_NE(*b, 0u);
+  EXPECT_EQ(module_->heap_allocations(), (std::vector<uint64_t>{*a, *b}));
+  ASSERT_TRUE(module_->Call("drop", {*a}).ok());
+  EXPECT_EQ(module_->heap_allocations(), (std::vector<uint64_t>{*b}));
+  EXPECT_EQ(kernel_.heap().Stats().allocation_count, heap_before + 1);
+
+  // A store into user space is a guard violation: quarantine reclaims
+  // what the module still owns.
+  ASSERT_FALSE(module_->Call("poke", {0x1000, 1}).ok());
+  ASSERT_TRUE(module_->quarantined());
+  EXPECT_TRUE(module_->heap_allocations().empty());
+  EXPECT_EQ(kernel_.heap().Stats().allocation_count, heap_before);
+}
+
+TEST_P(LoaderBindTest, EveryPreparedCpuSlotReturnsTheSameResults) {
+  ASSERT_TRUE(module_->Call("fill", {7}).ok());
+  ASSERT_TRUE(module_->PrepareCpus(4).ok());
+  ASSERT_EQ(module_->prepared_cpus(), 4u);
+  module_->ResetExecStats();
+
+  const std::vector<std::pair<std::string, std::vector<uint64_t>>> script = {
+      {"mix", {100}}, {"gep_back", {}}, {"peek", {}}, {"mix", {9}}};
+  std::vector<std::vector<uint64_t>> results(4);
+  for (uint32_t cpu = 0; cpu < 4; ++cpu) {
+    smp::ScopedCpu on(cpu);
+    for (const auto& [fn, args] : script) {
+      auto result = module_->Call(fn, args);
+      ASSERT_TRUE(result.ok()) << "cpu " << cpu << " @" << fn << ": "
+                               << result.status().ToString();
+      results[cpu].push_back(*result);
+    }
+  }
+  const kir::InterpStats& boot = module_->CpuExecStats(0);
+  EXPECT_GT(boot.loads, 0u);
+  for (uint32_t cpu = 1; cpu < 4; ++cpu) {
+    EXPECT_EQ(results[cpu], results[0]) << "cpu " << cpu;
+    const kir::InterpStats& stats = module_->CpuExecStats(cpu);
+    EXPECT_EQ(stats.steps, boot.steps) << "cpu " << cpu;
+    EXPECT_EQ(stats.loads, boot.loads) << "cpu " << cpu;
+    EXPECT_EQ(stats.stores, boot.stores) << "cpu " << cpu;
+    EXPECT_EQ(stats.calls_external, boot.calls_external) << "cpu " << cpu;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LoaderBindTest,
+    ::testing::Values(kernel::ExecEngine::kInterp,
+                      kernel::ExecEngine::kBytecode),
+    [](const ::testing::TestParamInfo<kernel::ExecEngine>& info) {
+      return std::string(kernel::ExecEngineName(info.param));
+    });
 
 }  // namespace
 }  // namespace kop

@@ -112,8 +112,9 @@ class NullMemory : public kir::MemoryInterface {
 
 class NullResolver : public kir::ExternalResolver {
  public:
-  Result<uint64_t> CallExternal(const std::string&,
-                                const std::vector<uint64_t>&) override {
+  uint64_t Bind(const std::string&) override { return 0; }
+  Result<uint64_t> Call(uint64_t, const std::vector<uint64_t>&,
+                        uint64_t) override {
     return Internal("no externals");
   }
 };
@@ -303,7 +304,7 @@ TEST(PolicyDifferentialProperty, RandomOpsAgreeWithFirstMatchReference) {
       // A freshly pinned frame is current, so the inline guard allows
       // exactly what the reference allows and deopts on everything else.
       engine.PinFrame();
-      EXPECT_EQ(engine.FastGuard(addr, size, flags, 0), want) << where;
+      EXPECT_EQ(engine.FastGuardRange(addr, size, flags, 0, 0), want) << where;
       engine.UnpinFrame();
     }
     max_size = std::max(max_size, reference.size());
